@@ -2,7 +2,7 @@
 # scheduler must keep green: vet + full tests + the race-detector lane.
 GO ?= go
 
-.PHONY: build test vet race bench benchdiff bench-figures serve-smoke recover-smoke yield-smoke cluster-smoke persist ci
+.PHONY: build test vet race bench bench-check benchdiff bench-figures serve-smoke recover-smoke yield-smoke cluster-smoke persist ci
 
 build:
 	$(GO) build ./...
@@ -55,7 +55,8 @@ persist:
 
 # Kernel/evaluator benchmark lane: the la factor/solve kernels (dense,
 # sparse, and ordered), the compiled transfer-function evaluator, the
-# sim analyses, the batched hybrid evaluator, and the end-to-end MDAC
+# sim analyses (with the full-Newton oracle's settle transient), the
+# warm hybrid evaluator, and the end-to-end MDAC
 # operating-point/settling/AC/full-study benchmarks, recorded as go-test
 # JSON events in BENCH_kernels.json for before/after comparison. The
 # benchfilter pipe strips run-volatile fields (timestamps, elapsed
@@ -64,10 +65,16 @@ bench:
 	$(GO) test -json -bench=. -benchmem -run='^$$' \
 		./internal/la ./internal/expr ./internal/sim ./internal/hybrid \
 		| ./scripts/benchfilter.sh > BENCH_kernels.json
-	$(GO) test -json -bench='^Benchmark(OP|TranSettle|TranSettleFullNewton|ACSweep|Study13b|Study13bRacing)$$' -benchmem -run='^$$' . \
+	$(GO) test -json -bench='^Benchmark(OP|TranSettle|ACSweep|Study13b|Study13bRacing)$$' -benchmem -run='^$$' . \
 		| ./scripts/benchfilter.sh >> BENCH_kernels.json
 	@grep -F 'ns/op' BENCH_kernels.json \
 		| sed -E 's/.*"Test":"([^"]*)".*"Output":"(\1)? *([^"]*)\\n"\}/\1\t\3/; s/\\t/   /g'
+
+# Benchmark-module check: bench/ is a separate Go module that the root
+# `go build ./...` never compiles; vet it and run its short tests so an
+# internal API change cannot silently break the served-path benchmark.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Advisory perf gate: rerun the benchmark set and compare against the
 # committed BENCH_kernels.json, warning on >10% ns/op regressions.
@@ -80,4 +87,4 @@ benchdiff:
 bench-figures:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-ci: vet test race persist serve-smoke cluster-smoke
+ci: vet test race persist bench-check serve-smoke cluster-smoke

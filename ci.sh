@@ -48,17 +48,22 @@ go test -race ./internal/cluster
 go test -race ./internal/race
 go test -race -run 'Race|Surrogate' ./internal/synth ./internal/core ./internal/service
 # Sparse-solver lane: the sparse/dense bit-exactness, symbolic-coverage,
-# modified-Newton determinism, ordered-pivot equivalence, and
-# batched-evaluation equivalence tests under the race detector — the
-# correctness contract of the fast path.
-go test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot' \
+# reuse-vs-full-Newton tolerance, ordered-pivot equivalence, and
+# warm-kernel isolation (rebound kernel and evaluator bitwise equal to a
+# cold compile) tests under the race detector — the correctness
+# contract of the fast path.
+go test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot|Warm' \
     ./internal/la ./internal/sim ./internal/hybrid ./internal/synth
 # Benchmark smoke: one iteration of the kernel and end-to-end benchmarks
-# (including the batched-evaluator and full-study paths) so perf-path
+# (including the warm evaluator and full-study paths) so perf-path
 # regressions (panics, singular matrices) surface in CI without paying
 # for a full measurement run.
 go test -bench=. -benchtime=1x -run='^$' ./internal/la ./internal/expr ./internal/sim ./internal/hybrid
-go test -bench='^Benchmark(OP|TranSettle|TranSettleFullNewton|ACSweep|Study13b|Study13bRacing)$' -benchtime=1x -run='^$' .
+go test -bench='^Benchmark(OP|TranSettle|ACSweep|Study13b|Study13bRacing)$' -benchtime=1x -run='^$' .
+# Benchmark-module lane: bench/ is its own Go module, so the root
+# `go build ./...` never compiles it; vet and short-test it here so an
+# internal API change cannot silently break the served-path benchmark.
+(cd bench && go vet . && go test -short .)
 # Advisory perf diff against the committed BENCH_kernels.json snapshot:
 # prints >10% ns/op regressions but never fails the gate (shared CI
 # boxes are noisy; BENCHDIFF_STRICT=1 makes it fatal locally).

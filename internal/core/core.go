@@ -255,19 +255,21 @@ func (st *Study) FullPower(c CandidateResult) float64 {
 }
 
 // StudyKey computes the content address of a whole study: a SHA-256
-// over every input that shapes the result — resolution, rate, reference,
-// process, evaluation mode, enumeration constraints, the retarget/S-H
-// switches, and the canonicalized synthesis options (the same
-// normalization the per-MDAC cache key uses; see synth.Options.
-// Canonical). Execution knobs (Workers, Pool, Cache, hooks) are
-// excluded, so two requests that must produce bit-identical studies get
-// the same key. The serving layer single-flights concurrent identical
-// submissions on it.
+// over every input that shapes the result — the evaluator generation
+// (synth.KeyVersion), resolution, rate, reference, process, evaluation
+// mode, enumeration constraints, the retarget/S-H switches, and the
+// canonicalized synthesis options (the same normalization the per-MDAC
+// cache key uses; see synth.Options.Canonical). Execution knobs
+// (Workers, Pool, Cache, hooks) are excluded, so two requests that must
+// produce bit-identical studies get the same key. The serving layer
+// single-flights concurrent identical submissions on it, and journal
+// recovery fails a job whose key no longer matches.
 func StudyKey(opts Options) string {
 	opts.fillDefaults()
 	opts.Constraints.FillDefaults()
 	s := opts.Synth.Canonical()
 	type keyFields struct {
+		Version                      int
 		Bits                         int
 		SampleRate, VRef             float64
 		Process                      string
@@ -279,28 +281,17 @@ func StudyKey(opts Options) string {
 		Restarts                     int
 		InitTemp, CoolRate, PenaltyW float64
 		Topology                     int
-		// BatchEval alters the annealing trajectory only when >1; keys
-		// minted before the knob existed must stay valid, so it is
-		// omitted at its default (mirrors synth.CacheKey). NewtonReuse
-		// keys the same way: omitted unless the reuse path is on.
-		BatchEval   int  `json:",omitempty"`
-		NewtonReuse bool `json:",omitempty"`
-		// The surrogate and racing knobs change the search trajectory
-		// only when on, so they key the same way: omitted at their
-		// defaults, with the racing shape keyed only under Race.
-		Surrogate bool `json:",omitempty"`
-		Race      bool `json:",omitempty"`
-		RaceRungs int  `json:",omitempty"`
-		RaceEta   int  `json:",omitempty"`
+		Surrogate                    bool
+		// The racing shape keys only under Race, so a dormant
+		// RaceRungs/RaceEta never splits two identical studies.
+		Race               bool
+		RaceRungs, RaceEta int
 	}
-	kf := keyFields{opts.Bits, opts.SampleRate, opts.VRef, opts.Process.Name, int(opts.Mode),
+	kf := keyFields{synth.KeyVersion, opts.Bits, opts.SampleRate, opts.VRef, opts.Process.Name, int(opts.Mode),
 		opts.Constraints, opts.Retarget, opts.IncludeSHA,
 		s.Seed, s.MaxEvals, s.PatternIter, s.Restarts,
-		s.InitTemp, s.CoolRate, s.PenaltyW, int(s.Topology), 0, s.NewtonReuse,
+		s.InitTemp, s.CoolRate, s.PenaltyW, int(s.Topology),
 		s.Surrogate, false, 0, 0}
-	if s.BatchEval > 1 {
-		kf.BatchEval = s.BatchEval
-	}
 	if opts.Race {
 		kf.Race = true
 		kf.RaceRungs = opts.RaceRungs

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"pipesyn/internal/hybrid"
 	"pipesyn/internal/sched"
 	"pipesyn/internal/synth"
 )
@@ -44,17 +45,9 @@ func TestStudyKeyIgnoresExecutionKnobs(t *testing.T) {
 		t.Fatalf("default normalization broken: %q vs %q", got, key)
 	}
 
-	// BatchEval 0 and 1 both mean serial annealing: journaled study
-	// addresses from before the knob existed must stay reachable.
-	serial := base
-	serial.Synth.BatchEval = 1
-	if got := StudyKey(serial); got != key {
-		t.Fatalf("Synth.BatchEval=1 changed the key: %q vs %q", got, key)
-	}
-
 	// The racing shape is dormant without Race: spelled-out defaults (or
-	// any rungs/eta value) with Race off must not move the key, so
-	// pre-racing journaled addresses stay reachable.
+	// any rungs/eta value) with Race off must not move the key, so two
+	// requests for the same study never split on an unused knob.
 	shapeOnly := base
 	shapeOnly.RaceRungs = 3
 	shapeOnly.RaceEta = 8
@@ -84,7 +77,6 @@ func TestStudyKeyIgnoresExecutionKnobs(t *testing.T) {
 		"seed":      func(o *Options) { o.Synth.Seed = 8 },
 		"mode":      func(o *Options) { o.Mode = 2 },
 		"sha":       func(o *Options) { o.IncludeSHA = true },
-		"batch":     func(o *Options) { o.Synth.BatchEval = 8 },
 		"race":      func(o *Options) { o.Race = true },
 		"surrogate": func(o *Options) { o.Synth.Surrogate = true },
 	} {
@@ -93,5 +85,20 @@ func TestStudyKeyIgnoresExecutionKnobs(t *testing.T) {
 		if StudyKey(changed) == key {
 			t.Errorf("changing %s did not change the key", name)
 		}
+	}
+}
+
+// TestStudyKeyGolden pins one study's content address, so key drift is
+// caught by a test rather than discovered as a silently cold cache or a
+// failed journal recovery. A change that moves results without moving
+// any option must bump synth.KeyVersion and update this value.
+func TestStudyKeyGolden(t *testing.T) {
+	opts := Options{
+		Bits: 10, SampleRate: 40e6, Mode: hybrid.Hybrid,
+		Synth: synth.Options{Seed: 7, MaxEvals: 16, PatternIter: 8},
+	}
+	const want = "2191689231087495a83e31daaf2279c42616b29b761dccdf45263f82b3a29f09"
+	if got := StudyKey(opts); got != want {
+		t.Fatalf("StudyKey drifted: got %s, want %s (key version %d)", got, want, synth.KeyVersion)
 	}
 }

@@ -80,24 +80,28 @@ type Metrics struct {
 }
 
 // StageEvaluator evaluates sizing candidates for one fixed stage spec.
-// It caches the compiled symbolic loop transfer function: the MDAC
-// topology never changes during a synthesis run, so the expensive
-// DPI/SFG + Mason step happens once and every candidate only re-binds the
-// extracted small-signal values.
+// It keeps two per-topology artifacts warm across candidates, because
+// the MDAC topology never changes during a synthesis run: the compiled
+// symbolic loop transfer function (the expensive DPI/SFG + Mason step
+// happens once and every candidate only re-binds the extracted
+// small-signal values), and the simulation kernel of the closed-loop
+// hold circuit (compiled once and rebound to each candidate's values;
+// see sim.Kernel for why a rebound result is bit-identical to a cold
+// compile).
+//
+// A StageEvaluator is not safe for concurrent use: its warm kernel and
+// scratch buffers belong to one goroutine. Use one per synthesis
+// restart, as synth does.
 type StageEvaluator struct {
 	Spec    stagespec.MDACSpec
 	Process *pdk.Process
 	Mode    Mode
 
-	// NewtonReuse enables the simulator's factorization-reuse Newton
-	// variant (DESIGN.md §5.5) on the DC and transient legs. It applies
-	// identically to the serial and batched paths, so Evaluate and
-	// EvaluateBatch stay bitwise interchangeable for a given setting.
-	NewtonReuse bool
-
 	prog *expr.Program
 	vars []string
 	sIdx int
+	buf  expr.EvalBuf
+	kern *sim.Kernel // warm hold-circuit kernel, compiled on first use
 }
 
 // NewStageEvaluator prepares an evaluator for the given block spec.
@@ -107,15 +111,17 @@ func NewStageEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode Mode) *S
 
 // Evaluate scores a candidate stage under the given mode. For repeated
 // evaluations of the same spec (synthesis inner loop), prefer a shared
-// StageEvaluator, which caches the symbolic transfer function.
+// StageEvaluator, which caches the symbolic transfer function and keeps
+// the simulation kernel warm.
 func Evaluate(ctx context.Context, st mdac.Stage, mode Mode) (Metrics, error) {
 	se := NewStageEvaluator(st.Spec, st.Process, mode)
 	return se.Evaluate(ctx, st.Sizing)
 }
 
-// Evaluate scores one sizing candidate. All candidates evaluated through
-// one StageEvaluator must share a topology (the compiled loop transfer
-// function is cached per topology).
+// Evaluate scores one sizing candidate. The result does not depend on
+// which candidates the evaluator scored before: the warm kernel is
+// rebound per candidate, and a candidate of another amplifier topology
+// recompiles both cached artifacts.
 //
 // One evaluation is the engine's cancellation granule: ctx is checked on
 // entry and between the DC, transfer-function, and transient legs, so a
@@ -132,57 +138,6 @@ func (se *StageEvaluator) Evaluate(ctx context.Context, sizing opamp.Amp) (Metri
 		return se.evaluateWithSim(ctx, st)
 	}
 	return Metrics{}, fmt.Errorf("hybrid: unknown mode %d", se.Mode)
-}
-
-// EvaluateBatch scores a population of sizing candidates in one call,
-// sharing a single warm simulation kernel (layout, sparsity analysis,
-// solver workspaces) across all of them. Candidates are evaluated in
-// index order and every result is bitwise identical to calling Evaluate
-// on the same sizing, so callers may switch between the two paths
-// without perturbing a deterministic synthesis run.
-//
-// The returned slices are index-aligned with sizings: errs[i] is nil
-// exactly when metrics[i] is valid. Cancellation is checked between
-// candidates; once ctx is done the remaining entries carry ctx.Err().
-func (se *StageEvaluator) EvaluateBatch(ctx context.Context, sizings []opamp.Amp) ([]Metrics, []error) {
-	metrics := make([]Metrics, len(sizings))
-	errs := make([]error, len(sizings))
-	if se.Mode != EquationOnly && len(sizings) > 1 {
-		holds := make([]*netlist.Circuit, len(sizings))
-		var buildErr error
-		for i, sz := range sizings {
-			st := mdac.Stage{Spec: se.Spec, Sizing: sz, Process: se.Process}
-			holds[i], buildErr = st.HoldCircuit()
-			if buildErr != nil {
-				break
-			}
-		}
-		if buildErr == nil {
-			bt, err := sim.NewBatch(holds)
-			if err == nil {
-				for i, sz := range sizings {
-					if err := ctx.Err(); err != nil {
-						errs[i] = err
-						continue
-					}
-					st := mdac.Stage{Spec: se.Spec, Sizing: sz, Process: se.Process}
-					metrics[i], errs[i] = se.evaluateHold(ctx, st, holds[i], batchSolver{bt: bt, idx: i})
-				}
-				return metrics, errs
-			}
-		}
-		// Hold construction or batch binding failed (e.g. a candidate
-		// changed the topology): fall through to the serial path, which
-		// reports per-candidate errors with full context.
-	}
-	for i := range sizings {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		metrics[i], errs[i] = se.Evaluate(ctx, sizings[i])
-	}
-	return metrics, errs
 }
 
 // compileLoopTF builds and caches the symbolic loop transfer function
@@ -256,61 +211,25 @@ func evaluateEquations(st mdac.Stage) (Metrics, error) {
 	return m, nil
 }
 
-// holdSolver abstracts how the closed-loop hold circuit's DC and
-// transient legs are solved: standalone sim calls, or a warm sim.Batch
-// kernel shared across a candidate population. Both produce bit-identical
-// results, so the evaluation metrics do not depend on the path taken.
-type holdSolver interface {
-	op(hold *netlist.Circuit, opts sim.DCOpts) (*sim.DCResult, error)
-	tran(hold *netlist.Circuit, opts sim.TranOpts) (*sim.TranResult, error)
-}
-
-// standaloneSolver compiles the circuit on every call (the historical
-// single-candidate path).
-type standaloneSolver struct{}
-
-func (standaloneSolver) op(hold *netlist.Circuit, opts sim.DCOpts) (*sim.DCResult, error) {
-	return sim.OP(hold, opts)
-}
-
-func (standaloneSolver) tran(hold *netlist.Circuit, opts sim.TranOpts) (*sim.TranResult, error) {
-	return sim.Tran(hold, opts)
-}
-
-// batchSolver routes the hold-circuit legs of candidate idx through a
-// shared warm kernel.
-type batchSolver struct {
-	bt  *sim.Batch
-	idx int
-}
-
-func (bs batchSolver) op(_ *netlist.Circuit, opts sim.DCOpts) (*sim.DCResult, error) {
-	return bs.bt.OP(bs.idx, opts)
-}
-
-func (bs batchSolver) tran(_ *netlist.Circuit, opts sim.TranOpts) (*sim.TranResult, error) {
-	return bs.bt.Tran(bs.idx, opts)
-}
-
 // evaluateWithSim shares the DC + transient legs between Hybrid and
 // SimOnly; they differ in how the loop transfer function is obtained.
+// Both simulation legs run on the evaluator's warm hold-circuit kernel,
+// and the transient starts from the DC leg's operating point instead of
+// solving it again.
 func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (Metrics, error) {
-	hold, err := st.HoldCircuit()
-	if err != nil {
-		return Metrics{Mode: se.Mode}, err
-	}
-	return se.evaluateHold(ctx, st, hold, standaloneSolver{})
-}
-
-// evaluateHold runs the three evaluation legs against an already-built
-// hold circuit, solving the DC and transient legs through sv.
-func (se *StageEvaluator) evaluateHold(ctx context.Context, st mdac.Stage, hold *netlist.Circuit, sv holdSolver) (Metrics, error) {
 	mode := se.Mode
 	m := Metrics{Mode: mode}
 	sp := st.Spec
+	hold, err := st.HoldCircuit()
+	if err != nil {
+		return m, err
+	}
 
 	tDC := time.Now()
-	op, err := sv.op(hold, sim.DCOpts{NewtonReuse: se.NewtonReuse})
+	if err := se.bindHold(hold); err != nil {
+		return m, fmt.Errorf("hybrid: closed-loop OP: %w", err)
+	}
+	op, err := se.kern.OP(sim.DCOpts{})
 	if err != nil {
 		return m, fmt.Errorf("hybrid: closed-loop OP: %w", err)
 	}
@@ -387,7 +306,9 @@ func (se *StageEvaluator) evaluateHold(ctx context.Context, st mdac.Stage, hold 
 		m.StaticError = 1
 	}
 
-	// Transient settling of the worst-case residue step.
+	// Transient settling of the worst-case residue step, from the DC
+	// leg's operating point (the hold circuit is unclocked, so it is the
+	// t=0 operating point sim.Tran would solve).
 	if err := ctx.Err(); err != nil {
 		return m, err
 	}
@@ -395,7 +316,7 @@ func (se *StageEvaluator) evaluateHold(ctx context.Context, st mdac.Stage, hold 
 	tStop := mdac.StepDelay + 1.5*window
 	tStep := window / 400
 	tTran := time.Now()
-	tr, err := sv.tran(hold, sim.TranOpts{TStop: tStop, TStep: tStep, NewtonReuse: se.NewtonReuse})
+	tr, err := se.kern.TranFrom(op, sim.TranOpts{TStop: tStop, TStep: tStep})
 	if err != nil {
 		return m, fmt.Errorf("hybrid: transient: %w", err)
 	}
@@ -407,6 +328,26 @@ func (se *StageEvaluator) evaluateHold(ctx context.Context, st mdac.Stage, hold 
 	m.SettleTime = settle
 	m.Settled = ok && settle <= window
 	return m, nil
+}
+
+// bindHold points the warm kernel at hold: compiled on the first
+// evaluation, rebound after that. A hold circuit that no longer matches
+// the compiled structure (a topology change) gets a fresh compile, and
+// the loop transfer function cached for the old topology is dropped
+// with the old kernel.
+func (se *StageEvaluator) bindHold(hold *netlist.Circuit) error {
+	if se.kern != nil && se.kern.Bind(hold) == nil {
+		return nil
+	}
+	k, err := sim.NewKernel(hold)
+	if err != nil {
+		return err
+	}
+	if se.kern != nil {
+		se.prog = nil
+	}
+	se.kern = k
+	return nil
 }
 
 type loopMet struct {
@@ -468,14 +409,11 @@ func (se *StageEvaluator) sweepProgram(env map[string]float64, fLo, fHi float64,
 	}
 	freqs := make([]float64, n)
 	vals := make([]complex128, n)
-	// Per-call (not per-evaluator) buffer: evaluators are shared across
-	// the parallel scheduler's workers, the buffer must not be.
-	var buf expr.EvalBuf
 	for i := 0; i < n; i++ {
 		f := fLo * math.Pow(10, decades*float64(i)/float64(n-1))
 		freqs[i] = f
 		slot[se.sIdx] = complex(0, 2*math.Pi*f)
-		v, err := se.prog.EvalCInto(&buf, slot)
+		v, err := se.prog.EvalCInto(&se.buf, slot)
 		if err != nil {
 			return nil, nil, err
 		}

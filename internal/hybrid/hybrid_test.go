@@ -3,6 +3,7 @@ package hybrid
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"pipesyn/internal/enum"
@@ -193,67 +194,75 @@ func synthTran() *sim.TranResult {
 	return tr
 }
 
-// TestEvaluateBatchMatchesSerial: the batched evaluator is a pure
-// throughput optimization — every metric must be bitwise identical to
-// the serial Evaluate path for the same sizing.
-func TestEvaluateBatchMatchesSerial(t *testing.T) {
+// TestWarmEvaluatorIsolation: one evaluator's warm state — the rebound
+// hold-circuit kernel and the cached loop transfer function — must never
+// leak from one candidate into the next. A single evaluator scores a
+// sequence that revisits candidates around three kinds of failure and a
+// topology change; every result must be bitwise equal (timing fields
+// zeroed) to a fresh evaluator scoring that candidate alone, after the
+// same solver work (kernel counter deltas).
+func TestWarmEvaluatorIsolation(t *testing.T) {
 	st := relaxedStage(t)
-	se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
-	base := st.Sizing.Vector()
-	sizings := make([]opamp.Amp, 4)
-	for i := range sizings {
-		v := append([]float64(nil), base...)
-		for j := range v {
-			v[j] *= 1 + 0.05*float64(i)*float64(j%3)
-		}
-		sz, err := st.Sizing.WithVector(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizings[i] = sz.Bound(st.Process)
+	a := st.Sizing.(opamp.MillerSizing)
+	c := a
+	c.W1 *= 1.3
+	c.IRef *= 0.8
+	c.CC *= 1.2
+	c.RZ *= 1.5 // moves the constant stamp, not just the device slab
+	noDC := a
+	noDC.IRef = 1e3 // DC exhausts Newton, gmin and source stepping
+	badValue := a
+	badValue.CC = 0 // rejected before any solve: the kernel keeps its binding
+	tele, err := opamp.Initial(opamp.Telescopic, st.Process, opamp.BlockSpec{
+		GBW: st.Spec.GBWMin, SR: st.Spec.SRMin, CLoad: st.Spec.CLoad, CFeed: st.Spec.CFeed,
+		Gain: st.Spec.GainMin, Swing: st.Spec.SwingMin,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	batchM, batchE := se.EvaluateBatch(context.Background(), sizings)
-	// Fresh evaluator for the serial pass so the TF cache state matches.
-	se2 := NewStageEvaluator(st.Spec, st.Process, Hybrid)
-	for i, sz := range sizings {
-		serial, err := se2.Evaluate(context.Background(), sz)
-		if batchE[i] != nil || err != nil {
-			if (batchE[i] == nil) != (err == nil) {
-				t.Fatalf("cand %d: batch err %v, serial err %v", i, batchE[i], err)
+	seq := []struct {
+		name    string
+		sz      opamp.Amp
+		wantErr bool
+	}{
+		{"A", a, false}, {"B/no-DC", noDC, true}, {"C", c, false},
+		{"B/bad-value", badValue, true}, {"A", a, false},
+		{"telescopic", tele, false}, {"A", a, false}, {"C", c, false},
+	}
+	for _, mode := range []Mode{Hybrid, SimOnly} {
+		warm := NewStageEvaluator(st.Spec, st.Process, mode)
+		for i, cand := range seq {
+			k0 := sim.ReadKernelStats()
+			got, gotErr := warm.Evaluate(context.Background(), cand.sz)
+			k1 := sim.ReadKernelStats()
+			want, wantErr := NewStageEvaluator(st.Spec, st.Process, mode).Evaluate(context.Background(), cand.sz)
+			k2 := sim.ReadKernelStats()
+			if warmWork, coldWork := kernelWork(k0, k1), kernelWork(k1, k2); warmWork != coldWork {
+				t.Fatalf("%v #%d %s: warm solver work %v, fresh %v", mode, i, cand.name, warmWork, coldWork)
 			}
-			continue
-		}
-		b := batchM[i]
-		pairs := [][2]float64{
-			{b.Power, serial.Power}, {b.LoopGain0, serial.LoopGain0},
-			{b.AmpGain, serial.AmpGain}, {b.CrossoverHz, serial.CrossoverHz},
-			{b.PhaseMargin, serial.PhaseMargin}, {b.StaticError, serial.StaticError},
-			{b.SettleTime, serial.SettleTime},
-			{b.SwingLo, serial.SwingLo}, {b.SwingHi, serial.SwingHi},
-		}
-		for k, p := range pairs {
-			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-				t.Fatalf("cand %d metric %d: batch %.17g vs serial %.17g", i, k, p[0], p[1])
+			if (gotErr != nil) != cand.wantErr || (wantErr != nil) != cand.wantErr {
+				t.Fatalf("%v #%d %s: warm err %v, fresh err %v, want failure %v", mode, i, cand.name, gotErr, wantErr, cand.wantErr)
 			}
-		}
-		if b.Settled != serial.Settled || b.AllSaturated != serial.AllSaturated {
-			t.Fatalf("cand %d: boolean metrics diverge", i)
+			if gotErr != nil {
+				if gotErr.Error() != wantErr.Error() {
+					t.Fatalf("%v #%d %s: warm error %q vs fresh %q", mode, i, cand.name, gotErr, wantErr)
+				}
+				continue
+			}
+			got.DCTime, got.TFTime, got.TranTime = 0, 0, 0
+			want.DCTime, want.TFTime, want.TranTime = 0, 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v #%d %s: warm evaluator leaked state:\nwarm  %+v\nfresh %+v", mode, i, cand.name, got, want)
+			}
 		}
 	}
 }
 
-// TestEvaluateBatchEquationMode: the batch entry point must work for the
-// equation-only evaluator too (plain serial loop underneath).
-func TestEvaluateBatchEquationMode(t *testing.T) {
-	st := relaxedStage(t)
-	se := NewStageEvaluator(st.Spec, st.Process, EquationOnly)
-	ms, errs := se.EvaluateBatch(context.Background(), []opamp.Amp{st.Sizing, st.Sizing})
-	for i := range ms {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if ms[i].Power <= 0 {
-			t.Fatalf("cand %d: power %g", i, ms[i].Power)
-		}
+// kernelWork is the simulator's counted work between two snapshots:
+// factorizations, reused solves, reuse fallbacks, ordered fallbacks.
+func kernelWork(a, b sim.KernelStats) [4]int64 {
+	return [4]int64{
+		b.Factorizations - a.Factorizations, b.ReusedSolves - a.ReusedSolves,
+		b.ReuseFallbacks - a.ReuseFallbacks, b.OrderedFallbacks - a.OrderedFallbacks,
 	}
 }

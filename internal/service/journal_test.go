@@ -123,6 +123,63 @@ func TestRecoverRequeuesQueuedAndRunning(t *testing.T) {
 	jnB.Close()
 }
 
+// TestRecoverRejectsPreBumpKey: a job journaled before the last key
+// version bump (synth.KeyVersion) carries a content address the current
+// evaluator no longer mints. Recovery must not re-run it under that
+// address — a full-Newton-era key must never name a reuse-era result —
+// so it is finalized failed with a *RecoveryError and counted.
+func TestRecoverRejectsPreBumpKey(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := tinyReq(10, 3)
+	// JobKey of tinyReq(10, 3) as minted before KeyVersion 2.
+	const preBump = "1ebc055595aeaa9d73cc44ea316d24eb3167beb124f983431fcaa68c0acb30d0"
+	opts, err := req.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.JobKey(opts) == preBump {
+		t.Fatal("the current key equals the pre-bump key; the version bump is not under test")
+	}
+	const id = "s000009-prebump0"
+	jn.append(journalRecord{Op: "submit", ID: id, Time: time.Now(), Key: preBump, Req: &req, Created: time.Now()})
+	jn.Close()
+
+	jn2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn2.Close()
+	man := NewManager(Config{Workers: 1, QueueCap: 2, Journal: jn2})
+	stats, err := man.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Failed != 1 || stats.Recovered != 0 {
+		t.Fatalf("recovery stats %+v, want the pre-bump job failed", stats)
+	}
+	j, ok := man.Get(id)
+	if !ok {
+		t.Fatalf("pre-bump job %s missing from the table", id)
+	}
+	if j.State() != StateFailed {
+		t.Fatalf("pre-bump job state %q, want failed", j.State())
+	}
+	j.mu.Lock()
+	jerr := j.err
+	j.mu.Unlock()
+	var re *RecoveryError
+	if !errors.As(jerr, &re) {
+		t.Fatalf("pre-bump job error %v, want *RecoveryError", jerr)
+	}
+	if got := man.Metrics().JobsRecoveryFailed.Load(); got != 1 {
+		t.Fatalf("recovery_failed counter %d, want 1", got)
+	}
+}
+
 // TestRecoverMarksUnrecoverableFailed exercises the typed failure path:
 // journal entries whose request is missing, no longer validates, or
 // whose content address does not round-trip are finalized failed with a

@@ -214,18 +214,6 @@ func (m *Metrics) WriteTo(w io.Writer, snap Snapshot) {
 	counter("adcsynd_kernel_ordered_fallbacks_total", "Static-ordered factorizations that hit a zero pivot and dropped to partial pivoting.")
 	fmt.Fprintf(w, "adcsynd_kernel_ordered_fallbacks_total %d\n", snap.Kernel.OrderedFallbacks)
 
-	fmt.Fprintf(w, "# HELP adcsynd_kernel_batch_width Candidates per shared-kernel simulation batch.\n")
-	fmt.Fprintf(w, "# TYPE adcsynd_kernel_batch_width histogram\n")
-	bcum := int64(0)
-	for i, ub := range sim.KernelBatchWidthBounds {
-		bcum += snap.Kernel.BatchWidths[i]
-		fmt.Fprintf(w, "adcsynd_kernel_batch_width_bucket{le=%q} %d\n", fmt.Sprintf("%d", ub), bcum)
-	}
-	bcum += snap.Kernel.BatchWidths[len(sim.KernelBatchWidthBounds)]
-	fmt.Fprintf(w, "adcsynd_kernel_batch_width_bucket{le=\"+Inf\"} %d\n", bcum)
-	fmt.Fprintf(w, "adcsynd_kernel_batch_width_sum %d\n", snap.Kernel.BatchWidthSum)
-	fmt.Fprintf(w, "adcsynd_kernel_batch_width_count %d\n", bcum)
-
 	counter("adcsynd_yield_draws_total", "Monte-Carlo yield draws by pass/fail verdict.")
 	fmt.Fprintf(w, "adcsynd_yield_draws_total{result=%q} %d\n", "pass", m.yieldPass.Load())
 	fmt.Fprintf(w, "adcsynd_yield_draws_total{result=%q} %d\n", "fail", m.yieldFail.Load())

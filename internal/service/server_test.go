@@ -536,9 +536,6 @@ func TestServiceMetricsScrape(t *testing.T) {
 		`adcsynd_kernel_factorizations_total{event="reused"}`,
 		"adcsynd_kernel_reuse_fallbacks_total",
 		"adcsynd_kernel_ordered_fallbacks_total",
-		`adcsynd_kernel_batch_width_bucket{le="+Inf"}`,
-		"adcsynd_kernel_batch_width_sum",
-		"adcsynd_kernel_batch_width_count",
 		// Yield counters render (at zero) even when no yield job ran.
 		`adcsynd_yield_draws_total{result="pass"} 0`,
 		`adcsynd_yield_draws_total{result="fail"} 0`,
@@ -553,6 +550,10 @@ func TestServiceMetricsScrape(t *testing.T) {
 	// The OP above performed at least one factorization.
 	if strings.Contains(text, `adcsynd_kernel_factorizations_total{event="performed"} 0`) {
 		t.Error("kernel factorization counter is zero after a direct OP")
+	}
+	// Every evaluation runs one warm kernel; there is no batch width.
+	if strings.Contains(text, "adcsynd_kernel_batch_width") {
+		t.Error("metrics still expose the removed batch-width histogram")
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", text)

@@ -147,11 +147,6 @@ func AC(c *netlist.Circuit, op *DCResult, opts ACOpts) (*ACResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return acCompiled(cc, op, opts)
-}
-
-// acCompiled is AC on an already-compiled circuit (shared with Batch).
-func acCompiled(cc *compiled, op *DCResult, opts ACOpts) (*ACResult, error) {
 	if opts.FStart <= 0 || opts.FStop <= opts.FStart {
 		return nil, fmt.Errorf("sim: bad AC range [%g, %g]", opts.FStart, opts.FStop)
 	}

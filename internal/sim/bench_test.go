@@ -3,7 +3,12 @@ package sim
 import (
 	"testing"
 
+	"pipesyn/internal/enum"
+	"pipesyn/internal/mdac"
 	"pipesyn/internal/netlist"
+	"pipesyn/internal/opamp"
+	"pipesyn/internal/pdk"
+	"pipesyn/internal/stagespec"
 )
 
 const benchAmpDeck = `* two-stage amp bench
@@ -78,6 +83,41 @@ func BenchmarkNoiseTwoStageAmp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Noise(c, op, NoiseOpts{Output: "out", FStart: 1e3, FStop: 10e9, PointsPerDecade: 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTranSettleFullNewton is the root package's TranSettle
+// benchmark — the worst-case residue step of a 12-bit pipeline's second
+// MDAC over the hybrid evaluator's settling window — on the full-Newton
+// oracle (factor every iteration). Compare against BenchmarkTranSettle
+// for what factorization reuse saves on the evaluator's transient leg.
+func BenchmarkTranSettleFullNewton(b *testing.B) {
+	proc := pdk.TSMC025()
+	specs, err := stagespec.Translate(stagespec.ADCSpec{Bits: 12, SampleRate: 40e6, VRef: 1}, enum.Config{3, 2, 2, 2, 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := specs[1]
+	sz := opamp.InitialSizing(proc, opamp.BlockSpec{
+		GBW: sp.GBWMin, SR: sp.SRMin, CLoad: sp.CLoad, CFeed: sp.CFeed,
+		Gain: sp.GainMin, Swing: sp.SwingMin,
+	})
+	hold, err := mdac.Stage{Spec: sp, Sizing: sz, Process: proc}.HoldCircuit()
+	if err != nil {
+		b.Fatal(err)
+	}
+	window := sp.TSlew + sp.TSettle
+	opts := TranOpts{TStop: mdac.StepDelay + 1.5*window, TStep: window / 400}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cc, err := compile(hold)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cc.fullNewton = true
+		if _, err := tranCompiled(cc, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,11 @@
 // counters.go exposes kernel-level observability: how many numeric
 // factorizations the Newton loops performed, how many solves reused a
 // stale factorization (Shamanskii), how often reuse diverged and fell
-// back to full Newton, how often the static-ordered pivot path hit a
-// zero pivot and dropped to partial pivoting, and the distribution of
-// batch widths. The counters are package-global atomics, but the Newton
-// hot loops never touch them: each analysis accumulates into plain
-// int64 fields on its kernelLU and flushes once at analysis end.
+// back to full Newton, and how often the static-ordered pivot path hit a
+// zero pivot and dropped to partial pivoting. The counters are
+// package-global atomics, but the Newton hot loops never touch them:
+// each analysis accumulates into plain int64 fields on its kernelLU and
+// flushes once at analysis end.
 package sim
 
 import (
@@ -14,21 +14,12 @@ import (
 	"pipesyn/internal/la"
 )
 
-// KernelBatchWidthBounds are the upper bounds of the batch-width
-// histogram buckets; widths above the last bound land in an implicit
-// +Inf bucket. Exposed so /metrics can render cumulative buckets.
-var KernelBatchWidthBounds = [...]int64{1, 2, 4, 8, 16}
-
-const kernelWidthBuckets = len(KernelBatchWidthBounds) + 1
-
 // KernelStats is a snapshot of the kernel counters since process start.
 type KernelStats struct {
 	Factorizations   int64 // numeric factorizations performed
 	ReusedSolves     int64 // Newton solves served by a stale factorization
 	ReuseFallbacks   int64 // reuse divergences that re-ran with full Newton
 	OrderedFallbacks int64 // static-order factorizations that hit a zero pivot
-	BatchWidths      [kernelWidthBuckets]int64
-	BatchWidthSum    int64 // sum of observed widths (histogram _sum)
 }
 
 var kstats struct {
@@ -36,8 +27,6 @@ var kstats struct {
 	reusedSolves     atomic.Int64
 	reuseFallbacks   atomic.Int64
 	orderedFallbacks atomic.Int64
-	batchWidths      [kernelWidthBuckets]atomic.Int64
-	batchWidthSum    atomic.Int64
 }
 
 // ReadKernelStats returns the current counter values.
@@ -47,24 +36,7 @@ func ReadKernelStats() KernelStats {
 	s.ReusedSolves = kstats.reusedSolves.Load()
 	s.ReuseFallbacks = kstats.reuseFallbacks.Load()
 	s.OrderedFallbacks = kstats.orderedFallbacks.Load()
-	for i := range s.BatchWidths {
-		s.BatchWidths[i] = kstats.batchWidths[i].Load()
-	}
-	s.BatchWidthSum = kstats.batchWidthSum.Load()
 	return s
-}
-
-// observeBatchWidth records one NewBatch of the given width. Cold path.
-func observeBatchWidth(w int) {
-	b := len(KernelBatchWidthBounds)
-	for i, ub := range KernelBatchWidthBounds {
-		if int64(w) <= ub {
-			b = i
-			break
-		}
-	}
-	kstats.batchWidths[b].Add(1)
-	kstats.batchWidthSum.Add(int64(w))
 }
 
 // kernelLU is the Newton loops' linear solver: a static-ordered sparse
@@ -94,9 +66,9 @@ func newKernelLU(cc *compiled) *kernelLU {
 }
 
 // reset re-arms the ordered fast path for a new top-level analysis, so a
-// zero-pivot fallback in one analysis never leaks into the next (a batch
-// shares DC workspaces across candidates, and load order must not change
-// any candidate's result).
+// zero-pivot fallback in one analysis never leaks into the next (a warm
+// Kernel shares its workspaces across candidates, and binding order must
+// not change any candidate's result).
 func (lu *kernelLU) reset() {
 	lu.useOrd = lu.ord != nil
 	if lu.useOrd {

@@ -17,12 +17,6 @@ type DCOpts struct {
 	Gmin        float64 // floor conductance from every node to ground (default 1e-12)
 	VLimit      float64 // max Newton voltage step (default 0.5 V)
 	SwitchPhase int     // which clock phase is active for clocked switches (0 = none)
-	// NewtonReuse enables modified-Newton (Shamanskii) iteration: the
-	// Jacobian factorization is reused across iterations while the step
-	// norm contracts and refreshed on slow convergence, with a plain
-	// full-Newton retry if the damped loop fails to converge. Off (the
-	// default) the solver is bit-identical to the historical path.
-	NewtonReuse bool
 }
 
 func (o *DCOpts) defaults() {
@@ -51,6 +45,7 @@ type DCResult struct {
 	Iterations int                  // total Newton iterations spent
 	x          []float64
 	layout     *Layout
+	binding    uint64 // compiled.binding at solve time (Kernel.TranFrom checks it)
 }
 
 // Voltage returns a node voltage (0 for ground, error for unknown nodes).
@@ -82,9 +77,12 @@ func (r *DCResult) SupplyPower(c *netlist.Circuit) float64 {
 	return p
 }
 
-// OP computes the DC operating point. It first tries plain Newton from a
-// flat start; on failure it walks a gmin-stepping ladder, then source
-// stepping, mirroring Berkeley SPICE's continuation strategy.
+// OP computes the DC operating point. It first tries Newton from a flat
+// start; on failure it walks a gmin-stepping ladder, then source
+// stepping, mirroring Berkeley SPICE's continuation strategy. Each
+// Newton solve reuses one factorization across iterations while the
+// step contracts (modified/Shamanskii Newton) and falls back to full
+// Newton if that diverges; see newton.
 func OP(c *netlist.Circuit, opts DCOpts) (*DCResult, error) {
 	cc, err := compile(c)
 	if err != nil {
@@ -94,14 +92,13 @@ func OP(c *netlist.Circuit, opts DCOpts) (*DCResult, error) {
 }
 
 // opCompiled is the compiled-circuit operating-point solver: Tran and
-// Batch enter here to reuse an existing compilation and its warm
+// Kernel enter here to reuse an existing compilation and its warm
 // workspaces instead of re-compiling the netlist.
 func opCompiled(cc *compiled, opts DCOpts) (*DCResult, error) {
 	opts.defaults()
 	// Re-arm the ordered-pivot fast path for this analysis and publish the
-	// locally accumulated kernel counters when it finishes. The workspace
-	// is created eagerly so batch candidates behave identically regardless
-	// of load order.
+	// locally accumulated kernel counters when it finishes, so a fallback
+	// in one analysis (or one Kernel binding) never leaks into the next.
 	ws := cc.dcWS()
 	ws.lu.reset()
 	defer ws.lu.flush()
@@ -159,6 +156,7 @@ func finishDC(cc *compiled, x []float64, iters int) *DCResult {
 		BranchI: map[string]float64{},
 		x:       x,
 		layout:  cc.layout,
+		binding: cc.binding,
 	}
 	for name, i := range cc.layout.NodeIndex {
 		r.V[name] = x[i]
@@ -185,12 +183,16 @@ func finishDC(cc *compiled, x []float64, iters int) *DCResult {
 // The loop runs entirely inside the compiled circuit's DC workspace:
 // each iteration copies the per-call baseline (constant stamps, gmin
 // shunts, scaled sources), stamps only the MOS companions, and factors
-// and solves in place — no heap allocation per iteration.
+// and solves in place — no heap allocation per iteration. The Jacobian
+// factorization is reused while the step norm contracts and refreshed
+// on slow convergence (modified Newton); full Newton runs only as the
+// divergence fallback and as the cc.fullNewton oracle.
 func newton(cc *compiled, x0 []float64, gmin, srcScale float64, opts DCOpts) ([]float64, int, error) {
 	ws := cc.dcWS()
 	ws.prepare(cc, gmin, srcScale, opts.SwitchPhase)
-	sol, n, err := newtonLoop(cc, ws, x0, opts, opts.NewtonReuse)
-	if err != nil && opts.NewtonReuse {
+	reuse := !cc.fullNewton
+	sol, n, err := newtonLoop(cc, ws, x0, opts, reuse)
+	if err != nil && reuse {
 		// Divergence fallback: retry with plain full Newton before the
 		// caller walks the continuation ladders.
 		if _, diverged := err.(*ConvergenceError); diverged {
@@ -208,20 +210,16 @@ func newtonLoop(cc *compiled, ws *dcWorkspace, x0 []float64, opts DCOpts, reuse 
 	worstIdx, worstDelta := -1, 0.0
 	lastStep, prevStep := math.Inf(1), math.Inf(1)
 	reuseCount := 0
+	confirm := false
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		var err error
-		if !reuse {
-			err = ws.iterate(cc)
+		fresh := !reuse || iter == 1 || confirm || reuseCount >= 6 || lastStep > 0.5*prevStep
+		confirm = false
+		if fresh {
+			reuseCount = 0
 		} else {
-			refactor := iter == 1 || reuseCount >= 6 || lastStep > 0.5*prevStep
-			if refactor {
-				reuseCount = 0
-			} else {
-				reuseCount++
-			}
-			err = ws.iterateReuse(cc, refactor)
+			reuseCount++
 		}
-		if err != nil {
+		if err := ws.iterateReuse(cc, fresh); err != nil {
 			return nil, iter, fmt.Errorf("sim: singular MNA matrix: %w", err)
 		}
 		xNew := ws.xNew
@@ -251,6 +249,14 @@ func newtonLoop(cc *compiled, ws *dcWorkspace, x0 []float64, opts DCOpts, reuse 
 			}
 		}
 		if converged && alpha == 1.0 {
+			if !fresh {
+				// A stale factorization contracts only linearly, so a
+				// small step does not yet bound the error; confirm with
+				// one fresh-factor iteration, which lands the point with
+				// full Newton's accuracy.
+				confirm = true
+				continue
+			}
 			// Detach the solution from the workspace: callers hold it
 			// across later newton calls and in DCResult.
 			return append([]float64(nil), x...), iter, nil

@@ -17,8 +17,7 @@ import (
 
 // mosElem is a MOS transistor with its terminals resolved to MNA rows.
 // Its parameters live in the kernel's SoA ParamsBatch slab (see
-// kernelViews.mosPB); element i of a candidate reads slab index
-// mosBase+i.
+// compiled.mosPB); element i reads slab index i.
 type mosElem struct {
 	d, g, s, b int
 }
@@ -43,94 +42,75 @@ type srcElem struct {
 	br   int
 }
 
-// kernelViews is the per-candidate half of the compiled kernel: the
-// element views with resolved MNA indices and device values, plus the
-// assembled constant stamp. Structure (indices, element order) is shared
-// across a Batch; the values inside are what distinguish candidates.
-type kernelViews struct {
-	mosElems []mosElem
-	mosPB    *device.ParamsBatch // SoA MOS parameter slab (shared in a Batch)
-	mosBase  int                 // this candidate's flat offset into mosPB
-	capElems []capElem
-	swElems  []swElem
-	srcElems []srcElem
-	constG   *la.Matrix
-}
-
-// buildViews assembles the element views and constant stamp for a
-// circuit against a fixed layout, returning the MOS parameters in
-// element order for the caller to pack into a ParamsBatch slab (a solo
-// compile packs width 1; NewBatch packs all candidates into one slab).
-// The single entry point keeps every candidate's assembly order
-// identical, so Batch results are bit-identical to a standalone compile
-// of the same circuit.
-func buildViews(c *netlist.Circuit, l *Layout,
-	mos map[string]device.MOSParams, switches map[string]device.SwitchParams) (kernelViews, []device.MOSParams) {
-	var kv kernelViews
-	var mp []device.MOSParams
-	kv.constG = la.NewMatrix(l.Size, l.Size)
-	for _, e := range c.Elements {
+// bindValues (re)builds every part of the compiled kernel that depends
+// on the circuit's values rather than its structure: the element views
+// (indices plus device values), the constant stamp, the packed MOS
+// parameter slab, and the cached per-phase stamps. compile and
+// Kernel.Bind both come through here, reusing the existing storage on a
+// rebind; one assembly order for both is what keeps a rebound kernel
+// bit-identical to a fresh compile of the same circuit.
+func (cc *compiled) bindValues() {
+	l := cc.layout
+	if cc.constG == nil {
+		cc.constG = la.NewMatrix(l.Size, l.Size)
+	} else {
+		cc.constG.Zero()
+	}
+	cc.mosElems, cc.capElems = cc.mosElems[:0], cc.capElems[:0]
+	cc.swElems, cc.srcElems = cc.swElems[:0], cc.srcElems[:0]
+	for _, e := range cc.circuit.Elements {
 		switch e.Type {
 		case netlist.Resistor:
-			stampConductance(kv.constG, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), 1/e.Value)
+			stampConductance(cc.constG, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), 1/e.Value)
 		case netlist.Capacitor:
-			kv.capElems = append(kv.capElems, capElem{l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), e.Value})
+			cc.capElems = append(cc.capElems, capElem{l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), e.Value})
 		case netlist.Switch:
-			kv.swElems = append(kv.swElems, swElem{l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), switches[e.Name]})
+			cc.swElems = append(cc.swElems, swElem{l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), cc.switches[e.Name]})
 		case netlist.ISource:
-			kv.srcElems = append(kv.srcElems, srcElem{e.Src, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), -1})
+			cc.srcElems = append(cc.srcElems, srcElem{e.Src, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), -1})
 		case netlist.VSource:
 			br := l.BranchIndex[e.Name]
-			stampVoltageBranch(kv.constG, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), br)
-			kv.srcElems = append(kv.srcElems, srcElem{e.Src, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), br})
+			stampVoltageBranch(cc.constG, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), br)
+			cc.srcElems = append(cc.srcElems, srcElem{e.Src, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), br})
 		case netlist.VCVS:
 			br := l.BranchIndex[e.Name]
 			op, on := l.idx(e.Nodes[0]), l.idx(e.Nodes[1])
 			cp, cn := l.idx(e.Nodes[2]), l.idx(e.Nodes[3])
-			stampVoltageBranch(kv.constG, op, on, br)
-			addA(kv.constG, br, cp, -e.Value)
-			addA(kv.constG, br, cn, +e.Value)
+			stampVoltageBranch(cc.constG, op, on, br)
+			addA(cc.constG, br, cp, -e.Value)
+			addA(cc.constG, br, cn, +e.Value)
 		case netlist.VCCS:
-			stampVCCS(kv.constG, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3]), e.Value)
+			stampVCCS(cc.constG, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3]), e.Value)
 		case netlist.MOS:
-			kv.mosElems = append(kv.mosElems, mosElem{
+			cc.mosElems = append(cc.mosElems, mosElem{
 				l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3]),
 			})
-			mp = append(mp, mos[e.Name])
 		}
 	}
-	return kv, mp
-}
-
-// packSolo packs one candidate's MOS parameters as a width-1 slab.
-func packSolo(params []device.MOSParams) *device.ParamsBatch {
-	pb := device.NewParamsBatch(1, len(params))
-	for j := range params {
-		pb.Set(0, j, &params[j])
+	if cc.mosPB == nil {
+		cc.mosPB = device.NewParamsBatch(1, len(cc.mosElems))
 	}
-	return pb
+	j := 0
+	for _, e := range cc.circuit.Elements {
+		if e.Type == netlist.MOS {
+			p := cc.mos[e.Name]
+			cc.mosPB.Set(0, j, &p)
+			j++
+		}
+	}
+	for phase, m := range cc.phaseG {
+		cc.fillPhase(m, phase)
+	}
 }
 
-// setViews installs a candidate's views into the compiled kernel.
-func (cc *compiled) setViews(kv kernelViews) {
-	cc.mosElems = kv.mosElems
-	cc.mosPB = kv.mosPB
-	cc.mosBase = kv.mosBase
-	cc.capElems = kv.capElems
-	cc.swElems = kv.swElems
-	cc.srcElems = kv.srcElems
-	cc.constG = kv.constG
-}
-
-// buildKernel populates the compiled circuit's element views and the
-// constant stamp, and runs both symbolic analyses: the partial-pivot one
-// (required by the complex AC solver and kept as the numeric fallback)
-// and, when the pattern admits one, the static-ordered analysis the
-// Newton loops prefer. Called once from compile.
+// buildKernel binds the circuit's values and runs the symbolic
+// analyses: the partial-pivot one (required by the complex AC solver and
+// kept as the numeric fallback) and, when the pattern admits one, the
+// static-ordered analysis the Newton loops prefer. The analyses depend
+// only on structure, so Kernel.Bind never repeats them. Called once from
+// compile.
 func (cc *compiled) buildKernel() {
-	kv, params := buildViews(cc.circuit, cc.layout, cc.mos, cc.switches)
-	kv.mosPB = packSolo(params)
-	cc.setViews(kv)
+	cc.bindValues()
 	pat := cc.buildPattern(true)
 	cc.sym = la.Analyze(pat)
 	// Base-only pattern (no MOS positions): the direct-residual path
@@ -210,16 +190,14 @@ func (cc *compiled) buildPattern(includeMOS bool) *la.Pattern {
 // phaseBase returns the constant stamp extended with the switch
 // conductances of the given clock phase, computed once per phase and
 // cached on the compiled circuit (switched netlists see three phases:
-// 1, 2, and the non-overlap gap 0).
+// 1, 2, and the non-overlap gap 0). bindValues refreshes the cached
+// phases in place when the kernel is rebound.
 func (cc *compiled) phaseBase(phase int) *la.Matrix {
 	if m, ok := cc.phaseG[phase]; ok {
 		return m
 	}
-	m := cc.constG.Clone()
-	for _, sw := range cc.swElems {
-		active := sw.par.Phase == 0 || sw.par.Phase == phase
-		stampConductance(m, sw.p, sw.n, sw.par.Conductance(active))
-	}
+	m := la.NewMatrix(cc.layout.Size, cc.layout.Size)
+	cc.fillPhase(m, phase)
 	if cc.phaseG == nil {
 		cc.phaseG = map[int]*la.Matrix{}
 	}
@@ -227,16 +205,26 @@ func (cc *compiled) phaseBase(phase int) *la.Matrix {
 	return m
 }
 
+// fillPhase writes the constant stamp plus the given phase's switch
+// conductances into m.
+func (cc *compiled) fillPhase(m *la.Matrix, phase int) {
+	copy(m.Data, cc.constG.Data)
+	for _, sw := range cc.swElems {
+		active := sw.par.Phase == 0 || sw.par.Phase == phase
+		stampConductance(m, sw.p, sw.n, sw.par.Conductance(active))
+	}
+}
+
 // stampMOS adds the linearized MOS companion models at candidate
 // solution x: id ≈ ID + gm·Δvgs + gds·Δvds + gmb·Δvbs. This is the only
 // matrix work repeated at every Newton iteration of the DC solver.
 func stampMOS(cc *compiled, a *la.Matrix, b []float64, x []float64) {
 	var op device.OP
-	pb, base := cc.mosPB, cc.mosBase
+	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
-		pb.EvalInto(&op, base+i, vd, vg, vs, vb)
+		pb.EvalInto(&op, i, vd, vg, vs, vb)
 		stampVCCS(a, m.d, m.s, m.g, m.s, op.GM)
 		stampConductance(a, m.d, m.s, op.GDS)
 		stampVCCS(a, m.d, m.s, m.b, m.s, op.GMB)
@@ -250,11 +238,11 @@ func stampMOS(cc *compiled, a *la.Matrix, b []float64, x []float64) {
 // terminal capacitances referenced to the previous accepted step.
 func stampMOSTran(cc *compiled, a *la.Matrix, b []float64, x, xPrev []float64, h float64) {
 	var op device.OP
-	pb, base := cc.mosPB, cc.mosBase
+	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
-		pb.EvalInto(&op, base+i, vd, vg, vs, vb)
+		pb.EvalInto(&op, i, vd, vg, vs, vb)
 		stampVCCS(a, m.d, m.s, m.g, m.s, op.GM)
 		stampConductance(a, m.d, m.s, op.GDS)
 		stampVCCS(a, m.d, m.s, m.b, m.s, op.GMB)
@@ -362,14 +350,7 @@ func (ws *dcWorkspace) iterate(cc *compiled) error {
 // Jacobian, only the residual.
 func (ws *dcWorkspace) iterateReuse(cc *compiled, refactor bool) error {
 	if refactor {
-		copy(ws.a.Data, ws.base.Data)
-		copy(ws.b, ws.baseB)
-		stampMOS(cc, ws.a, ws.b, ws.x)
-		if err := ws.lu.factor(ws.a); err != nil {
-			return err
-		}
-		ws.lu.solveInto(ws.xNew, ws.b)
-		return nil
+		return ws.iterate(cc)
 	}
 	ws.lu.reused++
 	ws.residualDC(cc)
@@ -391,11 +372,11 @@ func (ws *dcWorkspace) residualDC(cc *compiled) {
 		ws.r[i] -= ws.baseB[i]
 	}
 	var op device.OP
-	pb, base := cc.mosPB, cc.mosBase
+	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(ws.x, m.d), nodeV(ws.x, m.g), nodeV(ws.x, m.s), nodeV(ws.x, m.b)
-		pb.EvalInto(&op, base+i, vd, vg, vs, vb)
+		pb.EvalInto(&op, i, vd, vg, vs, vb)
 		addRHS(ws.r, m.d, op.ID)
 		addRHS(ws.r, m.s, -op.ID)
 	}

@@ -87,8 +87,7 @@ type compiled struct {
 	switches map[string]device.SwitchParams
 
 	mosElems []mosElem
-	mosPB    *device.ParamsBatch // SoA MOS parameter slab (shared across a Batch)
-	mosBase  int                 // current candidate's flat offset into mosPB
+	mosPB    *device.ParamsBatch // SoA MOS parameter slab, one candidate wide
 	capElems []capElem
 	swElems  []swElem
 	srcElems []srcElem
@@ -98,11 +97,19 @@ type compiled struct {
 	symBase  *la.Symbolic       // baseline-only pattern for the residual mat-vec
 	symOrd   *la.Symbolic       // static-ordered analysis, nil if no safe order
 	dcws     *dcWorkspace
+	trun     *tranRun
+	binding  uint64 // bumped by Kernel.Bind; ties a DCResult to the values it solved
+
+	// fullNewton is the package-internal full-Newton oracle: every
+	// Newton iteration refactors instead of reusing a stale
+	// factorization. Production analyses never set it; the equivalence
+	// tests compare the reuse path against it.
+	fullNewton bool
 }
 
 // resolveDevices validates element values and resolves model cards into
-// device parameter structs. Shared by compile and the batch loader so a
-// batch candidate sees exactly the standalone validation.
+// device parameter structs. Shared by compile and Kernel.Bind so a
+// rebound candidate sees exactly the standalone validation.
 func resolveDevices(c *netlist.Circuit) (map[string]device.MOSParams, map[string]device.SwitchParams, error) {
 	mos := map[string]device.MOSParams{}
 	switches := map[string]device.SwitchParams{}

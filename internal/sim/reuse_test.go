@@ -89,45 +89,58 @@ func TestSymbolicCoversAssembled(t *testing.T) {
 	}
 }
 
-// TestNewtonReuseOPMatchesDefault: the modified-Newton knob must land on
-// the same operating point as the default full-Newton path within the
-// solver's convergence tolerance. Both iterations share the same fixed
-// point, but the stale-factor path stops when its (linearly contracting)
-// step is small, so the landed point can differ by a few times the step
-// tolerance at high-gain nodes.
-func TestNewtonReuseOPMatchesDefault(t *testing.T) {
-	c := parseDeck(t, reuseDeck)
-	ref, err := OP(c, DCOpts{})
+// oracle compiles c on the full-Newton oracle path: every Newton
+// iteration refactors, as the solver did before factorization reuse
+// became its only policy.
+func oracle(t *testing.T, c *netlist.Circuit) *compiled {
+	t.Helper()
+	cc, err := compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OP(c, DCOpts{NewtonReuse: true})
+	cc.fullNewton = true
+	return cc
+}
+
+// TestNewtonReuseOPMatchesDefault: the reuse Newton — now the default
+// and only production policy — must land on the same operating point as
+// the historical default, the full-Newton oracle, within the solver's
+// convergence tolerance. Both iterations share the same fixed point, but
+// the stale-factor path stops when its (linearly contracting) step is
+// small, so the landed point can differ by a few times the step
+// tolerance at high-gain nodes.
+func TestNewtonReuseOPMatchesDefault(t *testing.T) {
+	c := parseDeck(t, reuseDeck)
+	ref, err := opCompiled(oracle(t, c), DCOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := OP(c, DCOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for node, v := range ref.V {
 		g := got.V[node]
 		if math.Abs(g-v) > 5e-3*(1+math.Abs(v)) {
-			t.Errorf("node %s: reuse OP %.12g vs default %.12g", node, g, v)
+			t.Errorf("node %s: reuse OP %.12g vs full-Newton oracle %.12g", node, g, v)
 		}
 	}
 }
 
-// TestNewtonReuseTranMatchesDefault: transient waveforms with the reuse
-// knob on must track the default path within the Newton step tolerance
-// at every accepted step (same fixed point, looser landing — see the OP
-// test above).
+// TestNewtonReuseTranMatchesDefault: transient waveforms on the default
+// reuse path must track the full-Newton oracle within the Newton step
+// tolerance at every accepted step (same fixed point, looser landing —
+// see the OP test above).
 func TestNewtonReuseTranMatchesDefault(t *testing.T) {
 	c := parseDeck(t, reuseDeck)
 	opts := TranOpts{
 		TStop: 1e-6, TStep: 2e-9,
 		ClockPeriod: 1e-7, NonOverlap: 2e-9,
 	}
-	ref, err := Tran(c, opts)
+	ref, err := tranCompiled(oracle(t, c), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.NewtonReuse = true
 	got, err := Tran(c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -143,37 +156,69 @@ func TestNewtonReuseTranMatchesDefault(t *testing.T) {
 			// through the capacitor memory, which amplify transiently at
 			// clock-switch edges.
 			if math.Abs(gw[i]-w[i]) > 2e-2*(1+math.Abs(w[i])) {
-				t.Fatalf("node %s sample %d (t=%g): reuse %.9g vs default %.9g",
+				t.Fatalf("node %s sample %d (t=%g): reuse %.9g vs full-Newton oracle %.9g",
 					node, i, ref.T[i], gw[i], w[i])
 			}
 		}
 	}
 }
 
-// TestTranDefaultBitIdenticalToDense: with every knob off, the sparse
-// solver must reproduce the dense-era results exactly — the factorization
-// is pivot-exact, so waveforms are compared bitwise against a dense
-// reference solve of the same deck.
-func TestTranDefaultBitIdenticalToDense(t *testing.T) {
+// TestTranFullNewtonBitIdenticalToDense: the full-Newton oracle on the
+// sparse partial-pivot factorization must reproduce a dense solve
+// exactly. The dense reference factors over a fully marked pattern, on
+// which the pivot-exact sparse LU performs the dense LU's arithmetic
+// (la.TestSparseMatchesDenseBitExact), so waveforms compare bitwise.
+// The default reuse path must also be deterministic to the bit.
+func TestTranFullNewtonBitIdenticalToDense(t *testing.T) {
 	c := parseDeck(t, reuseDeck)
 	opts := TranOpts{
 		TStop: 5e-7, TStep: 2e-9,
 		ClockPeriod: 1e-7, NonOverlap: 2e-9,
 	}
-	ref, err := Tran(c, opts)
+	sparse := oracle(t, c)
+	sparse.symOrd = nil
+	dense := oracle(t, c)
+	dense.symOrd = nil
+	n := dense.layout.Size
+	full := la.NewPattern(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			full.Mark(i, j)
+		}
+	}
+	dense.sym = la.Analyze(full)
+	if dense.sym.Stats().NNZ == sparse.sym.Stats().NNZ {
+		t.Fatal("the deck's pattern is already dense; the sparse path is not under test")
+	}
+	ref, err := tranCompiled(dense, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second run must be deterministic to the bit.
-	again, err := Tran(c, opts)
+	got, err := tranCompiled(sparse, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for node, w := range ref.V {
+		gw := got.V[node]
+		for i := range w {
+			if math.Float64bits(gw[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("node %s sample %d: sparse %.17g vs dense %.17g", node, i, gw[i], w[i])
+			}
+		}
+	}
+	first, err := Tran(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Tran(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node, w := range first.V {
 		aw := again.V[node]
 		for i := range w {
 			if math.Float64bits(aw[i]) != math.Float64bits(w[i]) {
-				t.Fatalf("node %s sample %d: runs differ bitwise", node, i)
+				t.Fatalf("node %s sample %d: default runs differ bitwise", node, i)
 			}
 		}
 	}

@@ -5,33 +5,28 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"pipesyn/internal/netlist"
 )
 
-// TestBatchSoAStampDoesNotAllocate pins the batched stamp path's
-// acceptance criterion: once the shared kernel is warm, a DC Newton
-// iteration reading device parameters from a non-zero offset into the
-// batch's SoA slab does zero heap allocations — the slab lookup must be
-// pure indexing, never a per-device unpack.
+// TestBatchSoAStampDoesNotAllocate pins the rebound stamp path: once a
+// warm kernel has been rebound to another candidate of the batch, a DC
+// Newton iteration reading device parameters from the repacked SoA slab
+// does zero heap allocations — Bind refills the slab in place, and the
+// slab lookup stays pure indexing, never a per-device unpack.
 func TestBatchSoAStampDoesNotAllocate(t *testing.T) {
-	decks := []string{batchVariant(t, 0), batchVariant(t, 1), batchVariant(t, 2)}
-	var circuits []*netlist.Circuit
-	for _, d := range decks {
-		circuits = append(circuits, parseDeck(t, d))
-	}
-	bt, err := NewBatch(circuits)
+	k, err := NewKernel(parseDeck(t, batchVariant(t, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Load candidate 2 so the measured iteration streams the slab at a
-	// non-zero base offset (candidate 0 aliases the standalone layout).
-	if _, err := bt.OP(2, DCOpts{}); err != nil {
+	slab := k.cc.mosPB
+	if err := k.Bind(parseDeck(t, batchVariant(t, 2))); err != nil {
 		t.Fatal(err)
 	}
-	cc := bt.cc
-	if cc.mosBase == 0 {
-		t.Fatal("candidate 2 left the slab base at 0; the SoA offset path is not under test")
+	if _, err := k.OP(DCOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	cc := k.cc
+	if cc.mosPB != slab {
+		t.Fatal("Bind replaced the SoA slab instead of refilling it")
 	}
 	opts := DCOpts{}
 	opts.defaults()
@@ -49,7 +44,7 @@ func TestBatchSoAStampDoesNotAllocate(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("batched SoA Newton iteration allocates %g objects, want 0", allocs)
+		t.Fatalf("rebound SoA Newton iteration allocates %g objects, want 0", allocs)
 	}
 }
 
@@ -87,9 +82,11 @@ CL out 0 1p
 // for the static-ordered pivot path: across randomized sizings of the
 // reuse deck, the DC operating point and transient waveforms solved
 // with the ordered factorization must agree with the partial-pivot
-// default to simulation accuracy. (Pivot order changes rounding, so the
-// comparison is tight-tolerance, not bitwise — the bitwise contract
-// belongs to the default path, TestTranDefaultBitIdenticalToDense.)
+// fallback to simulation accuracy. Both sides run the full-Newton
+// oracle, so the comparison isolates the pivot order. (Pivot order
+// changes rounding, so the comparison is tight-tolerance, not bitwise —
+// the bitwise contract belongs to partial pivoting,
+// TestTranFullNewtonBitIdenticalToDense.)
 func TestOrderedPivotMatchesDefault(t *testing.T) {
 	const tol = 1e-6
 	rng := rand.New(rand.NewSource(42))
@@ -110,7 +107,8 @@ func TestOrderedPivotMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ccDef.symOrd = nil // force the partial-pivot default
+		ccDef.symOrd = nil // force the partial-pivot fallback
+		ccOrd.fullNewton, ccDef.fullNewton = true, true
 
 		opOrd, err := opCompiled(ccOrd, DCOpts{})
 		if err != nil {

@@ -31,13 +31,6 @@ type TranOpts struct {
 	// Gmin is the floor conductance from every node to ground, matching
 	// DCOpts.Gmin (default 1e-12 S).
 	Gmin float64
-	// NewtonReuse enables modified-Newton (Shamanskii) iteration: within
-	// a time step the Jacobian factorization from the first iteration is
-	// reused while the step norm keeps contracting, and refreshed on slow
-	// convergence. A step that fails to converge is retried with plain
-	// Newton before the usual halving rescue. Off (the default) the
-	// solver path is bit-identical to the historical full-Newton loop.
-	NewtonReuse bool
 	// UseICs starts from the given node voltages instead of a DC solve.
 	UseICs bool
 	ICs    map[string]float64
@@ -122,7 +115,9 @@ type capRun struct {
 // tranRun holds everything one transient analysis reuses across steps:
 // the capacitor companion memory and the step/iteration scratch buffers.
 // An accepted step performs no heap allocation; only the rare halving
-// rescue path allocates its midpoint state.
+// rescue path allocates its midpoint state. The compiled circuit keeps
+// its tranRun between analyses, and newTranRun resets every field a run
+// reads before writing it.
 type tranRun struct {
 	cc   *compiled
 	opts TranOpts
@@ -147,18 +142,25 @@ type tranRun struct {
 }
 
 func newTranRun(cc *compiled, opts TranOpts, x0 []float64) *tranRun {
-	n := cc.layout.Size
-	tr := &tranRun{
-		cc: cc, opts: opts,
-		stepA: la.NewMatrix(n, n), stepB: make([]float64, n),
-		a: la.NewMatrix(n, n), b: make([]float64, n),
-		xNew: make([]float64, n),
-		r:    make([]float64, n), d: make([]float64, n),
-		lu: newKernelLU(cc),
+	tr := cc.trun
+	if tr == nil {
+		n := cc.layout.Size
+		tr = &tranRun{
+			cc:    cc,
+			stepA: la.NewMatrix(n, n), stepB: make([]float64, n),
+			a: la.NewMatrix(n, n), b: make([]float64, n),
+			xNew: make([]float64, n),
+			r:    make([]float64, n), d: make([]float64, n),
+			lu: newKernelLU(cc),
+		}
+		cc.trun = tr
 	}
-	tr.caps = make([]capRun, len(cc.capElems))
-	for i, ce := range cc.capElems {
-		tr.caps[i] = capRun{capElem: ce, v: nodeV(x0, ce.p) - nodeV(x0, ce.n)}
+	tr.opts = opts
+	tr.haveFactor, tr.reuseCount, tr.lastPhase, tr.lastH = false, 0, 0, 0
+	tr.lu.reset()
+	tr.caps = tr.caps[:0]
+	for _, ce := range cc.capElems {
+		tr.caps = append(tr.caps, capRun{capElem: ce, v: nodeV(x0, ce.p) - nodeV(x0, ce.n)})
 	}
 	return tr
 }
@@ -204,8 +206,9 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 		tr.haveFactor = false
 	}
 	tr.lastPhase, tr.lastH = phase, h
-	err := tr.newtonLoop(dst, xFrom, t, h, tr.opts.NewtonReuse)
-	if err != nil && tr.opts.NewtonReuse {
+	reuse := !cc.fullNewton
+	err := tr.newtonLoop(dst, xFrom, t, h, reuse)
+	if err != nil && reuse {
 		// Divergence fallback: a stale factorization can stall on hard
 		// steps; rerun the step with plain full Newton before the caller
 		// resorts to halving.
@@ -218,17 +221,22 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 }
 
 // newtonLoop runs the damped Newton iteration of one step against the
-// already-assembled step baseline. With reuse enabled the Jacobian is
-// factored on the first iteration and then reused (delta solves against
-// the stale factor) while the damped step norm contracts; it is
-// refreshed when convergence slows or after several reuses.
+// already-assembled step baseline. With reuse (every production run) the
+// Jacobian is factored on the first iteration and then reused (delta
+// solves against the stale factor, carried across steps) while the
+// damped step norm contracts; it is refreshed when convergence slows or
+// after several reuses. Without reuse every iteration refactors: the
+// divergence fallback and the full-Newton oracle.
 func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) error {
 	cc := tr.cc
 	l := cc.layout
 	worstIdx, worstDelta := -1, 0.0
 	lastStep, prevStep := math.Inf(1), math.Inf(1)
 	for it := 0; it < tr.opts.MaxNewton; it++ {
-		if !reuse {
+		// Refresh when not reusing, when no factorization is carried,
+		// after a bounded number of stale solves, or when the iteration
+		// stops contracting (the stale factor has drifted too far).
+		if !reuse || !tr.haveFactor || tr.reuseCount >= 50 || lastStep > 0.5*prevStep {
 			copy(tr.a.Data, tr.stepA.Data)
 			copy(tr.b, tr.stepB)
 			stampMOSTran(cc, tr.a, tr.b, dst, xFrom, h)
@@ -237,34 +245,18 @@ func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) er
 			}
 			tr.haveFactor = true
 			tr.reuseCount = 0
+			// Fresh factor: the direct solve equals the delta solve and
+			// skips the residual mat-vec.
 			tr.lu.solveInto(tr.xNew, tr.b)
 		} else {
-			// Refresh when no factorization is carried, after a bounded
-			// number of stale solves, or when the iteration stops
-			// contracting (the stale factor has drifted too far).
-			refactor := !tr.haveFactor || tr.reuseCount >= 50 || lastStep > 0.5*prevStep
-			if refactor {
-				copy(tr.a.Data, tr.stepA.Data)
-				copy(tr.b, tr.stepB)
-				stampMOSTran(cc, tr.a, tr.b, dst, xFrom, h)
-				if err := tr.lu.factor(tr.a); err != nil {
-					return fmt.Errorf("sim: singular matrix at t=%g: %w", t, err)
-				}
-				tr.haveFactor = true
-				tr.reuseCount = 0
-				// Fresh factor: the direct solve equals the delta solve
-				// and skips the residual mat-vec.
-				tr.lu.solveInto(tr.xNew, tr.b)
-			} else {
-				// Stale factor: only the residual is needed, and it is
-				// evaluated directly (residualTran) — no matrix assembly.
-				tr.reuseCount++
-				tr.lu.reused++
-				tr.residualTran(tr.r, dst, xFrom, h)
-				tr.lu.solveInto(tr.d, tr.r)
-				for i := range tr.xNew {
-					tr.xNew[i] = dst[i] - tr.d[i]
-				}
+			// Stale factor: only the residual is needed, and it is
+			// evaluated directly (residualTran) — no matrix assembly.
+			tr.reuseCount++
+			tr.lu.reused++
+			tr.residualTran(tr.r, dst, xFrom, h)
+			tr.lu.solveInto(tr.d, tr.r)
+			for i := range tr.xNew {
+				tr.xNew[i] = dst[i] - tr.d[i]
 			}
 		}
 		sol := tr.xNew
@@ -317,11 +309,11 @@ func (tr *tranRun) residualTran(r, x, xPrev []float64, h float64) {
 		r[i] -= tr.stepB[i]
 	}
 	var op device.OP
-	pb, base := cc.mosPB, cc.mosBase
+	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
-		pb.EvalInto(&op, base+i, vd, vg, vs, vb)
+		pb.EvalInto(&op, i, vd, vg, vs, vb)
 		addRHS(r, m.d, op.ID)
 		addRHS(r, m.s, -op.ID)
 		capResidual(r, m.g, m.s, op.CGS, x, xPrev, h)
@@ -389,13 +381,10 @@ func Tran(c *netlist.Circuit, opts TranOpts) (*TranResult, error) {
 	return tranCompiled(cc, opts)
 }
 
-// tranCompiled is the compiled-circuit transient solver. The initial
-// operating point runs on the same compilation, so a transient analysis
-// compiles its netlist exactly once (Batch enters here with a shared,
-// already-warm compilation).
-func tranCompiled(cc *compiled, opts TranOpts) (*TranResult, error) {
+// normalize validates the transient window and fills the defaults.
+func (opts *TranOpts) normalize() error {
 	if opts.TStop <= 0 || opts.TStep <= 0 || opts.TStep > opts.TStop {
-		return nil, fmt.Errorf("sim: bad transient window step=%g stop=%g", opts.TStep, opts.TStop)
+		return fmt.Errorf("sim: bad transient window step=%g stop=%g", opts.TStep, opts.TStop)
 	}
 	if opts.MaxNewton == 0 {
 		opts.MaxNewton = 80
@@ -403,11 +392,20 @@ func tranCompiled(cc *compiled, opts TranOpts) (*TranResult, error) {
 	if opts.Gmin == 0 {
 		opts.Gmin = 1e-12
 	}
+	return nil
+}
+
+// tranCompiled is the compiled-circuit transient solver. The initial
+// operating point runs on the same compilation, so a transient analysis
+// compiles its netlist exactly once.
+func tranCompiled(cc *compiled, opts TranOpts) (*TranResult, error) {
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
 	l := cc.layout
-	n := l.Size
 
 	// Initial state: DC operating point with the t=0 clock phase, or ICs.
-	x := make([]float64, n)
+	x := make([]float64, l.Size)
 	if opts.UseICs {
 		for node, v := range opts.ICs {
 			if i := l.idx(node); i >= 0 {
@@ -415,12 +413,21 @@ func tranCompiled(cc *compiled, opts TranOpts) (*TranResult, error) {
 			}
 		}
 	} else {
-		dc, err := opCompiled(cc, DCOpts{SwitchPhase: ClockPhase(0, opts.ClockPeriod, opts.NonOverlap), NewtonReuse: opts.NewtonReuse})
+		dc, err := opCompiled(cc, DCOpts{SwitchPhase: ClockPhase(0, opts.ClockPeriod, opts.NonOverlap)})
 		if err != nil {
 			return nil, fmt.Errorf("sim: transient initial OP: %w", err)
 		}
-		copy(x, dc.x)
+		x = dc.x
 	}
+	return tranFromState(cc, x, opts)
+}
+
+// tranFromState integrates from the initial state x0 (not modified) with
+// already-normalized options.
+func tranFromState(cc *compiled, x0 []float64, opts TranOpts) (*TranResult, error) {
+	l := cc.layout
+	n := l.Size
+	x := append([]float64(nil), x0...)
 
 	run := newTranRun(cc, opts, x)
 	defer run.lu.flush()

@@ -49,10 +49,20 @@ func (o Options) Canonical() Options {
 	return o
 }
 
+// KeyVersion names the evaluator generation a result was computed by.
+// It leads every synthesis cache key (CacheKey) and study content
+// address (core.StudyKey), so a change that moves results without
+// changing any option — such as a new Newton policy in the simulator —
+// bumps it, and no disk cache, peer cache, or job journal serves an
+// older generation's result under an unchanged address. Version 2:
+// factorization-reuse Newton is the simulator's only policy.
+const KeyVersion = 2
+
 // CacheKey computes the content address of a synthesis request: a
-// SHA-256 over the block spec, the process name, and the canonicalized
-// optimizer options (see Canonical). Keys are stable across processes,
-// so a disk store written by one run is valid for every later one.
+// SHA-256 over KeyVersion, the block spec, the process name, and the
+// canonicalized optimizer options (see Canonical). Keys are stable
+// across processes, so a disk store written by one run is valid for
+// every later one of the same KeyVersion.
 func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 	opts = opts.Canonical()
 	procName := ""
@@ -60,6 +70,7 @@ func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 		procName = proc.Name
 	}
 	type keyFields struct {
+		Version                      int
 		Spec                         stagespec.MDACSpec
 		Process                      string
 		Seed                         int64
@@ -67,23 +78,11 @@ func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 		Restarts                     int
 		InitTemp, CoolRate, PenaltyW float64
 		Mode, Topology               int
-		// BatchEval changes the annealing trajectory only when >1, and
-		// keys minted before the knob existed must stay valid, so the
-		// field is omitted from the serialized form at its default.
-		// NewtonReuse follows the same pattern: the tolerance-contracted
-		// reuse path can shift the trajectory, so it keys only when on.
-		BatchEval   int  `json:",omitempty"`
-		NewtonReuse bool `json:",omitempty"`
-		// Surrogate redirects every few annealer moves to the quadratic
-		// model's proposal, changing the trajectory; keys only when on.
-		Surrogate bool `json:",omitempty"`
+		Surrogate                    bool
 	}
-	kf := keyFields{spec, procName, opts.Seed, opts.MaxEvals, opts.PatternIter,
+	kf := keyFields{KeyVersion, spec, procName, opts.Seed, opts.MaxEvals, opts.PatternIter,
 		opts.Restarts, opts.InitTemp, opts.CoolRate, opts.PenaltyW,
-		int(opts.Mode), int(opts.Topology), 0, opts.NewtonReuse, opts.Surrogate}
-	if opts.BatchEval > 1 {
-		kf.BatchEval = opts.BatchEval
-	}
+		int(opts.Mode), int(opts.Topology), opts.Surrogate}
 	blob, err := json.Marshal(kf)
 	if err != nil {
 		// Only value fields above; Marshal cannot fail. Keep the

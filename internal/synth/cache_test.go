@@ -41,22 +41,14 @@ func TestCacheKeyStability(t *testing.T) {
 	if CacheKey(spec, proc, implied) != CacheKey(spec, proc, explicit) {
 		t.Fatal("default normalization failed")
 	}
-	// BatchEval 0 and 1 both mean serial annealing, so neither may move
-	// the key — addresses minted before the knob existed stay valid.
-	serial := opts
-	serial.BatchEval = 1
-	if CacheKey(spec, proc, serial) != key {
-		t.Fatal("BatchEval=1 changed the key")
-	}
-
 	// Everything that shapes the result must move the key.
 	for name, mutate := range map[string]func(*Options){
-		"seed":     func(o *Options) { o.Seed++ },
-		"budget":   func(o *Options) { o.MaxEvals++ },
-		"mode":     func(o *Options) { o.Mode = hybrid.EquationOnly },
-		"topology": func(o *Options) { o.Topology = opamp.Telescopic },
-		"restarts": func(o *Options) { o.Restarts = 3 },
-		"batch":    func(o *Options) { o.BatchEval = 8 },
+		"seed":      func(o *Options) { o.Seed++ },
+		"budget":    func(o *Options) { o.MaxEvals++ },
+		"mode":      func(o *Options) { o.Mode = hybrid.EquationOnly },
+		"topology":  func(o *Options) { o.Topology = opamp.Telescopic },
+		"restarts":  func(o *Options) { o.Restarts = 3 },
+		"surrogate": func(o *Options) { o.Surrogate = true },
 	} {
 		m := opts
 		mutate(&m)
@@ -71,6 +63,19 @@ func TestCacheKeyStability(t *testing.T) {
 	}
 	if CacheKey(spec, pdk.TSMC025(), opts) != key {
 		t.Fatal("same-named process must share the key")
+	}
+}
+
+// TestCacheKeyGolden pins one synthesis request's content address, so
+// key drift is caught by a test rather than discovered as a cold disk
+// or peer cache. A change that moves results without moving any option
+// must bump KeyVersion and update this value.
+func TestCacheKeyGolden(t *testing.T) {
+	spec, proc := lateStageSpec(t)
+	opts := Options{Seed: 7, MaxEvals: 16, PatternIter: 8, Mode: hybrid.Hybrid}
+	const want = "4fd3d7b57c0341b216ffc0bc403e1286e9104e4fe7ccd6315e3c8631da1d47d9"
+	if got := CacheKey(spec, proc, opts); got != want {
+		t.Fatalf("CacheKey drifted: got %s, want %s (key version %d)", got, want, KeyVersion)
 	}
 }
 

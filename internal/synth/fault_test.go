@@ -96,12 +96,12 @@ func TestSynthesizeCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestSynthesizeBatchReuseCancel: cancelling a hybrid-mode search that
-// runs batched moves (BatchEval > 1) on the reuse-Newton solver path
-// must stop within one batch granule and leak nothing — the lane where
-// the shared warm kernel, persistent reuse state, and cancellation all
-// meet (run under -race in CI).
-func TestSynthesizeBatchReuseCancel(t *testing.T) {
+// TestSynthesizeWarmKernelCancel: cancelling a hybrid-mode search, whose
+// evaluations all run on one warm reuse-Newton kernel, must stop within
+// one evaluation granule and leak nothing — the lane where the warm
+// kernel, its carried solver state, and cancellation all meet (run
+// under -race in CI).
+func TestSynthesizeWarmKernelCancel(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	spec, proc := lateStageSpec(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,7 +112,7 @@ func TestSynthesizeBatchReuseCancel(t *testing.T) {
 	startT := time.Now()
 	res, err := Synthesize(ctx, spec, proc, Options{
 		Seed: 23, MaxEvals: 100000, PatternIter: 50000,
-		Mode: hybrid.Hybrid, BatchEval: 4, NewtonReuse: true,
+		Mode: hybrid.Hybrid,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -121,7 +121,7 @@ func TestSynthesizeBatchReuseCancel(t *testing.T) {
 		t.Fatalf("cancelled synthesis returned a result: %+v", res)
 	}
 	if elapsed := time.Since(startT); elapsed > 10*time.Second {
-		t.Fatalf("cancellation took %v, want within one batch granule", elapsed)
+		t.Fatalf("cancellation took %v, want within one evaluation granule", elapsed)
 	}
 }
 
@@ -169,42 +169,6 @@ func TestSynthesizePanicIsolated(t *testing.T) {
 	}
 	if len(pe.Stack) == 0 {
 		t.Fatal("panic error lost its stack trace")
-	}
-}
-
-// TestBatchEvalHookRejectsWholeChunk: when the fault hook rejects every
-// candidate in an annealing chunk, scoreBatch must skip the simulation
-// kernel instead of handing it a zero-length batch, while the rejected
-// candidates still count as spent budget and the search routes around
-// the dead chunks to a feasible design.
-func TestBatchEvalHookRejectsWholeChunk(t *testing.T) {
-	spec, proc := lateStageSpec(t)
-	rejected := 0
-	// BatchEval=4 and one seed evaluation put the first two annealing
-	// chunks at ordinals 2–5 and 6–9; rejecting exactly that range makes
-	// both chunks all-rejected.
-	res, err := Synthesize(context.Background(), spec, proc, Options{
-		Seed: 31, MaxEvals: 40, PatternIter: 20,
-		Mode: hybrid.EquationOnly, BatchEval: 4,
-		EvalHook: func(_ context.Context, eval int) error {
-			if eval >= 2 && eval <= 9 {
-				rejected++
-				return fmt.Errorf("injected fault at eval %d", eval)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("all-rejected chunks aborted the search: %v", err)
-	}
-	if rejected != 8 {
-		t.Fatalf("hook rejected %d candidates, want the two full chunks (8)", rejected)
-	}
-	if !res.Feasible {
-		t.Fatalf("search failed to route around rejected chunks: %v", res.Report.Failures)
-	}
-	if res.Evals < 10 {
-		t.Fatalf("rejected candidates must still count as spent budget: Evals = %d", res.Evals)
 	}
 }
 

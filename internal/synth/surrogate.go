@@ -20,8 +20,8 @@ const (
 	// recent evaluations describe the current basin; ancient ones from a
 	// hot annealing phase would drag the fit toward stale geometry.
 	surrogateWindow = 64
-	// surrogatePeriod is how many annealer moves (or batches) separate
-	// two surrogate proposals; the moves in between feed the model.
+	// surrogatePeriod is how many annealer moves separate two surrogate
+	// proposals; the moves in between feed the model.
 	surrogatePeriod = 8
 	// surrogateMinFit is the observation count below which the model
 	// stays silent — a quadratic through too few points extrapolates

@@ -133,15 +133,15 @@ func TestSynthesizeSurrogateDeterministic(t *testing.T) {
 	}
 }
 
-// TestSynthesizeSurrogateBatchWorkerIdentity: the surrogate ride-along
-// slot in batched moves and the restart reduction must keep the result
-// independent of the worker count.
-func TestSynthesizeSurrogateBatchWorkerIdentity(t *testing.T) {
+// TestSynthesizeSurrogateWorkerIdentity: surrogate proposals and the
+// restart reduction must keep the result independent of the worker
+// count.
+func TestSynthesizeSurrogateWorkerIdentity(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	run := func(workers int) *Result {
 		res, err := Synthesize(context.Background(), spec, proc, Options{
 			Seed: 9, MaxEvals: 120, PatternIter: 30,
-			Mode: hybrid.EquationOnly, Surrogate: true, BatchEval: 4,
+			Mode: hybrid.EquationOnly, Surrogate: true,
 			Restarts: 3, Workers: workers,
 		})
 		if err != nil {
@@ -156,6 +156,6 @@ func TestSynthesizeSurrogateBatchWorkerIdentity(t *testing.T) {
 		}
 	}
 	if serial.SurrogateProposals == 0 {
-		t.Fatal("batched surrogate never proposed")
+		t.Fatal("surrogate never proposed")
 	}
 }

@@ -38,30 +38,14 @@ type Options struct {
 	Topology    opamp.Topology // amplifier cell class (default Miller)
 	WarmStart   opamp.Amp      // retargeting seed; nil = equation start
 	PatternIter int            // pattern-search polish evaluations (default 120)
-	// BatchEval sets the annealer's evaluation batch width: each move
-	// draws BatchEval perturbations of the incumbent with sequential RNG
-	// draws, scores them through one warm simulation kernel
-	// (hybrid.EvaluateBatch), and folds the acceptance decisions in index
-	// order. 0 or 1 keeps the historical one-candidate-per-move loop and
-	// its exact search trajectory; widths >1 trade per-move locality for
-	// kernel amortization and follow a different (still deterministic)
-	// trajectory, so the value is part of the cache key only when >1.
-	BatchEval int
-	// NewtonReuse turns on the simulator's factorization-reuse Newton
-	// variant for every evaluation in the search (DESIGN.md §5.5). The
-	// reuse path is tolerance-contracted rather than bit-pinned, so a run
-	// with it enabled may follow a different (still deterministic)
-	// trajectory than the default; like BatchEval it joins the cache key
-	// only when set.
-	NewtonReuse bool
 	// Surrogate interleaves deterministic quadratic-model proposals with
 	// the annealer's random moves: a per-coordinate quadratic fit over
 	// the log-space sizings already evaluated proposes its trust-clamped
 	// minimizer every few moves in place of a random perturbation (see
 	// surrogate.go). The model is fit with exact least squares over an
 	// order-pinned history — no extra randomness — so the trajectory is
-	// still deterministic, just different from the default; like
-	// BatchEval the knob joins the cache key only when set.
+	// still deterministic, just different from the default, which is why
+	// the knob is part of the cache key.
 	Surrogate bool
 	// Restarts repeats the anneal+polish pipeline from fresh random seeds
 	// and keeps the best outcome; use >1 when the power comparison must
@@ -126,9 +110,6 @@ func (o *Options) defaults() {
 	}
 	if o.Restarts == 0 {
 		o.Restarts = 1
-	}
-	if o.BatchEval < 1 {
-		o.BatchEval = 1
 	}
 	if o.WarmStart != nil {
 		// Retargeting: the seed is near-feasible, so spend a fraction of
@@ -296,8 +277,6 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 		return nil, 0, err
 	}
 	ev := newEvaluator(spec, proc, opts.Mode, opts.PenaltyW, opts.EvalHook, opts.Progress)
-	ev.se.NewtonReuse = opts.NewtonReuse
-	ev.batch = opts.BatchEval
 	best := ev.score(ctx, eqSeed)
 	if opts.WarmStart != nil {
 		// Retargeting: start from the better of the two seeds. A warm
@@ -329,13 +308,13 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 
 	// Simulated annealing over log-space perturbations. The context is
 	// the abort signal: it is checked once per move, so a cancelled study
-	// stops after the candidate (or batch) in flight.
+	// stops after the candidate in flight.
 	temp := opts.InitTemp
 	fold := func(sc scored) bool {
 		accepted := false
 		if sc.err == nil {
 			if firstFeasible < 0 && sc.feasible() {
-				firstFeasible = sc.ord
+				firstFeasible = ev.evals
 			}
 			accepted = sc.cost < cur.cost
 			if !accepted && temp > 0 {
@@ -357,58 +336,25 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 			return nil, ev.evals, err
 		}
 		moves++
-		if opts.BatchEval <= 1 {
-			// Every surrogatePeriod-th move the quadratic model, when it
-			// has something to say, takes the slot a random perturbation
-			// would have used. Skipping the perturb shifts the RNG stream
-			// relative to a surrogate-off run, which is fine: Surrogate is
-			// part of the cache key, like BatchEval.
-			if sur != nil && moves%surrogatePeriod == 0 {
-				if cand, ok := sur.propose(cur.sizing, proc); ok {
-					sur.proposals++
-					sc := ev.score(ctx, cand)
-					sur.observe(sc)
-					if fold(sc) {
-						sur.accepted++
-					}
-					continue
+		// Every surrogatePeriod-th move the quadratic model, when it has
+		// something to say, takes the slot a random perturbation would
+		// have used. Skipping the perturb shifts the RNG stream relative
+		// to a surrogate-off run, which is fine: Surrogate is part of the
+		// cache key.
+		if sur != nil && moves%surrogatePeriod == 0 {
+			if cand, ok := sur.propose(cur.sizing, proc); ok {
+				sur.proposals++
+				sc := ev.score(ctx, cand)
+				sur.observe(sc)
+				if fold(sc) {
+					sur.accepted++
 				}
-			}
-			sc := ev.score(ctx, perturb(rng, cur.sizing, temp, proc))
-			sur.observe(sc)
-			fold(sc)
-			continue
-		}
-		// Batched move: every perturbation starts from the incumbent and
-		// the batch-start temperature (the draws are sequential, so the
-		// trajectory is reproducible for a fixed BatchEval); acceptance
-		// folds in index order, cooling once per candidate to keep the
-		// schedule length identical to the serial loop.
-		n := opts.BatchEval
-		if rem := opts.MaxEvals - ev.evals; n > rem {
-			n = rem
-		}
-		cands := make([]opamp.Amp, n)
-		surIdx := -1
-		for j := range cands {
-			// In batch mode a surrogate proposal rides as candidate 0 of
-			// the periodic batch; the remaining slots stay random draws.
-			if j == 0 && sur != nil && moves%surrogatePeriod == 0 {
-				if cand, ok := sur.propose(cur.sizing, proc); ok {
-					cands[0] = cand
-					surIdx = 0
-					sur.proposals++
-					continue
-				}
-			}
-			cands[j] = perturb(rng, cur.sizing, temp, proc)
-		}
-		for j, sc := range ev.scoreBatch(ctx, cands) {
-			sur.observe(sc)
-			if fold(sc) && j == surIdx {
-				sur.accepted++
+				continue
 			}
 		}
+		sc := ev.score(ctx, perturb(rng, cur.sizing, temp, proc))
+		sur.observe(sc)
+		fold(sc)
 	}
 
 	// Coordinate pattern search around the best point.
@@ -437,16 +383,12 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 	return out, ev.evals, nil
 }
 
-// scored couples a sizing with its evaluation. ord is the 1-based
-// evaluator ordinal the candidate was scored at (the batch path scores
-// several candidates before any of them is folded, so the fold cannot
-// read the live counter).
+// scored couples a sizing with its evaluation.
 type scored struct {
 	sizing  opamp.Amp
 	metrics hybrid.Metrics
 	report  hybrid.SpecReport
 	cost    float64
-	ord     int
 	err     error
 }
 
@@ -458,7 +400,6 @@ type evaluator struct {
 	se       *hybrid.StageEvaluator
 	penaltyW float64
 	evals    int
-	batch    int // Options.BatchEval; >1 batches the pattern-search sweeps too
 	hook     func(ctx context.Context, eval int) error
 	progress func(p Progress)
 }
@@ -483,17 +424,11 @@ func (ev *evaluator) score(ctx context.Context, s opamp.Amp) scored {
 	}
 	if ev.hook != nil {
 		if err := ev.hook(ctx, ord); err != nil {
-			return scored{sizing: s, ord: ord, err: err, cost: math.Inf(1)}
+			return scored{sizing: s, err: err, cost: math.Inf(1)}
 		}
 	}
 	m, err := ev.se.Evaluate(ctx, s)
-	return ev.finish(s, ord, m, err)
-}
-
-// finish folds an evaluation outcome into a scored candidate: constraint
-// audit plus the scalar cost (normalized power + weighted penalty).
-func (ev *evaluator) finish(s opamp.Amp, ord int, m hybrid.Metrics, err error) scored {
-	out := scored{sizing: s, ord: ord, metrics: m, err: err}
+	out := scored{sizing: s, metrics: m, err: err}
 	if err != nil {
 		out.cost = math.Inf(1)
 		return out
@@ -504,49 +439,6 @@ func (ev *evaluator) finish(s opamp.Amp, ord int, m hybrid.Metrics, err error) s
 	// weight is meaningful across stages.
 	pRef := ev.proc.VDD * 1e-3 // 1 mA scale
 	out.cost = m.Power/pRef + ev.penaltyW*out.report.Violations
-	return out
-}
-
-// scoreBatch scores a slice of candidates through one warm simulation
-// kernel. Hooks run per candidate in index order with the same ordinals
-// the serial path would assign; hook-rejected candidates are excluded
-// from the kernel call but still counted. Progress observations are
-// emitted per candidate after the batch completes, each carrying an
-// equal share of the batch's wall-clock cost.
-func (ev *evaluator) scoreBatch(ctx context.Context, cands []opamp.Amp) []scored {
-	out := make([]scored, len(cands))
-	keep := make([]int, 0, len(cands))
-	start := time.Now()
-	for i, s := range cands {
-		ev.evals++
-		out[i] = scored{sizing: s, ord: ev.evals}
-		if ev.hook != nil {
-			if err := ev.hook(ctx, ev.evals); err != nil {
-				out[i].err = err
-				out[i].cost = math.Inf(1)
-				continue
-			}
-		}
-		keep = append(keep, i)
-	}
-	// The hook can reject every candidate in a chunk; skip the kernel
-	// call instead of handing it a zero-length batch.
-	if len(keep) > 0 {
-		sub := make([]opamp.Amp, len(keep))
-		for j, i := range keep {
-			sub[j] = cands[i]
-		}
-		ms, errs := ev.se.EvaluateBatch(ctx, sub)
-		for j, i := range keep {
-			out[i] = ev.finish(cands[i], out[i].ord, ms[j], errs[j])
-		}
-	}
-	if ev.progress != nil {
-		share := time.Since(start) / time.Duration(len(cands))
-		for i := range out {
-			ev.progress(Progress{Eval: out[i].ord, Elapsed: share})
-		}
-	}
 	return out
 }
 
@@ -577,9 +469,6 @@ func perturb(rng *rand.Rand, s opamp.Amp, temp float64, proc *pdk.Process) opamp
 // opamp.FromVector path always produced a MillerSizing and silently
 // swapped a Telescopic amplifier's topology mid-search.
 func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, proc *pdk.Process, firstFeasible *int) scored {
-	if ev.batch > 1 {
-		return patternSearchBatch(ctx, ev, best, budget, proc, firstFeasible)
-	}
 	step := 0.25
 	dims := len(best.sizing.Vector())
 	for spent := 0; spent < budget && step > 0.01; {
@@ -605,64 +494,6 @@ func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, 
 						best = sc
 						improved = true
 						break
-					}
-				}
-			}
-		}
-		if !improved {
-			step /= 2
-		}
-	}
-	return best
-}
-
-// patternSearchBatch is the BatchEval>1 variant of the polish: each sweep
-// around the incumbent is generated up front in the serial path's
-// coordinate/direction order, scored through the warm batch kernel in
-// chunks of ev.batch, and folded in index order. An improvement ends the
-// sweep (the rest of the in-flight chunk still counts as spent budget,
-// exactly like candidates the serial loop scored before breaking), so the
-// trajectory is deterministic for a fixed width — but a different one
-// than the serial loop's, which is why BatchEval is part of the cache
-// key.
-func patternSearchBatch(ctx context.Context, ev *evaluator, best scored, budget int, proc *pdk.Process, firstFeasible *int) scored {
-	step := 0.25
-	dims := len(best.sizing.Vector())
-	spent := 0
-	for spent < budget && step > 0.01 {
-		improved := false
-		moves := make([]opamp.Amp, 0, 2*dims)
-		for i := 0; i < dims; i++ {
-			for _, dir := range []float64{1 + step, 1 / (1 + step)} {
-				v := best.sizing.Vector()
-				v[i] *= dir
-				cand, err := best.sizing.WithVector(v)
-				if err != nil {
-					continue
-				}
-				moves = append(moves, cand.Bound(proc))
-			}
-		}
-		for off := 0; off < len(moves) && spent < budget && !improved; off += ev.batch {
-			if ctx.Err() != nil {
-				return best
-			}
-			end := off + ev.batch
-			if end > len(moves) {
-				end = len(moves)
-			}
-			if rem := budget - spent; end-off > rem {
-				end = off + rem
-			}
-			for _, sc := range ev.scoreBatch(ctx, moves[off:end]) {
-				spent++
-				if sc.err == nil {
-					if *firstFeasible < 0 && sc.feasible() {
-						*firstFeasible = sc.ord
-					}
-					if !improved && sc.cost < best.cost {
-						best = sc
-						improved = true
 					}
 				}
 			}

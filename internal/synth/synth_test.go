@@ -309,15 +309,15 @@ func TestSynthesizeTelescopicTopology(t *testing.T) {
 	}
 }
 
-// TestSynthesizeBatchEvalDeterministic: batched annealing draws its
-// perturbations sequentially from the incumbent and folds acceptance in
-// index order, so a fixed seed must reproduce the result exactly even
-// though candidates share one simulation kernel.
-func TestSynthesizeBatchEvalDeterministic(t *testing.T) {
+// TestSynthesizeWarmKernelDeterministic: every hybrid evaluation of a
+// restart runs on one warm kernel rebound per candidate, with the
+// tolerance-contracted reuse Newton; a fixed seed must still reproduce
+// the result exactly.
+func TestSynthesizeWarmKernelDeterministic(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	opts := Options{
 		Seed: 11, MaxEvals: 80, PatternIter: 40,
-		Mode: hybrid.Hybrid, BatchEval: 4,
+		Mode: hybrid.Hybrid,
 	}
 	first, err := Synthesize(context.Background(), spec, proc, opts)
 	if err != nil {
@@ -331,7 +331,7 @@ func TestSynthesizeBatchEvalDeterministic(t *testing.T) {
 	first.Metrics.DCTime, first.Metrics.TFTime, first.Metrics.TranTime = 0, 0, 0
 	second.Metrics.DCTime, second.Metrics.TFTime, second.Metrics.TranTime = 0, 0, 0
 	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("batched synthesis not deterministic:\n%+v\nvs\n%+v", first, second)
+		t.Fatalf("warm-kernel synthesis not deterministic:\n%+v\nvs\n%+v", first, second)
 	}
 	if first.Evals == 0 {
 		t.Fatal("no evaluations recorded")

@@ -12,11 +12,11 @@ import (
 
 	"pipesyn/internal/core"
 	"pipesyn/internal/enum"
-	"pipesyn/internal/hybrid"
 	"pipesyn/internal/mdac"
 	"pipesyn/internal/netlist"
 	"pipesyn/internal/opamp"
 	"pipesyn/internal/pdk"
+	"pipesyn/internal/service"
 	"pipesyn/internal/sim"
 	"pipesyn/internal/stagespec"
 	"pipesyn/internal/synth"
@@ -64,27 +64,9 @@ func BenchmarkOP(b *testing.B) {
 // BenchmarkTranSettle is the transient leg: the worst-case residue step
 // over the same settling window the hybrid evaluator uses, on the
 // symbolic-factorization + modified-Newton (Shamanskii) solver path.
+// internal/sim's BenchmarkTranSettleFullNewton runs the same transient
+// on the full-Newton oracle.
 func BenchmarkTranSettle(b *testing.B) {
-	st := benchStage(b)
-	hold := benchHold(b)
-	window := st.Spec.TSlew + st.Spec.TSettle
-	opts := sim.TranOpts{
-		TStop:       mdac.StepDelay + 1.5*window,
-		TStep:       window / 400,
-		NewtonReuse: true,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Tran(hold, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTranSettleFullNewton is the same transient on the default
-// full-Newton path (factor every iteration; bit-identical to the
-// historical dense solver).
-func BenchmarkTranSettleFullNewton(b *testing.B) {
 	st := benchStage(b)
 	hold := benchHold(b)
 	window := st.Spec.TSlew + st.Spec.TSettle
@@ -100,25 +82,51 @@ func BenchmarkTranSettleFullNewton(b *testing.B) {
 	}
 }
 
-// BenchmarkStudy13b is the full-study number the batched kernel path is
-// accountable to: a 13-bit designer-driven study on a tiny evaluation
-// budget with the annealer's batched moves (BatchEval) and the
-// reuse-Newton solver both enabled — every hot path this package's
-// kernel benchmarks measure in isolation, composed end to end.
-func BenchmarkStudy13b(b *testing.B) {
-	opts := core.Options{
-		Bits: 13, SampleRate: 40e6, Mode: hybrid.Hybrid,
-		Synth: synth.Options{
-			Seed: 7, MaxEvals: 12, PatternIter: 6,
-			BatchEval: 4, NewtonReuse: true,
-		},
+// study13b is the request both study benchmarks serve: a 13-bit hybrid
+// study on a tiny evaluation budget, mapped to engine options exactly as
+// adcsynd maps a POST /v1/studies body, so the benchmarks measure the
+// path a served request runs.
+func study13b(b *testing.B, race bool) core.Options {
+	b.Helper()
+	opts, err := service.StudyRequest{
+		Bits: 13, Mode: "hybrid", Evals: 12, Pattern: 6, Seed: 7, Race: race,
+	}.Options()
+	if err != nil {
+		b.Fatal(err)
 	}
+	return opts
+}
+
+// reportStudy attaches the per-study evaluation and solver accounting:
+// evaluator calls per study, and numeric factorizations and
+// stale-factor (reused) solves per evaluation from the kernel counter
+// deltas over the timed loop.
+func reportStudy(b *testing.B, st *core.Study, k0 sim.KernelStats) {
+	k := sim.ReadKernelStats()
+	evals := float64(st.TotalEvals) * float64(b.N)
+	b.ReportMetric(float64(st.TotalEvals), "evals/study")
+	if evals > 0 {
+		b.ReportMetric(float64(k.Factorizations-k0.Factorizations)/evals, "factorizations/eval")
+		b.ReportMetric(float64(k.ReusedSolves-k0.ReusedSolves)/evals, "reusedSolves/eval")
+	}
+}
+
+// BenchmarkStudy13b is the full-study number the kernel path is
+// accountable to: every hot path this package's kernel benchmarks
+// measure in isolation, composed end to end as a served request runs
+// them.
+func BenchmarkStudy13b(b *testing.B) {
+	opts := study13b(b, false)
+	k0 := sim.ReadKernelStats()
 	b.ResetTimer()
+	var st *core.Study
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(context.Background(), opts); err != nil {
+		var err error
+		if st, err = core.Optimize(context.Background(), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportStudy(b, st, k0)
 }
 
 // BenchmarkStudy13bRacing is BenchmarkStudy13b under the
@@ -127,39 +135,31 @@ func BenchmarkStudy13b(b *testing.B) {
 // "cold" starts from nothing; "warm" replays through a primed
 // content-addressed cache (the daemon's steady state).
 func BenchmarkStudy13bRacing(b *testing.B) {
-	mk := func() core.Options {
-		return core.Options{
-			Bits: 13, SampleRate: 40e6, Mode: hybrid.Hybrid, Race: true,
-			Synth: synth.Options{
-				Seed: 7, MaxEvals: 12, PatternIter: 6,
-				BatchEval: 4, NewtonReuse: true,
-			},
-		}
-	}
-	report := func(b *testing.B, st *core.Study) {
-		b.ReportMetric(float64(st.TotalEvals), "evals/study")
-		toFeasible := 0
+	toFeasible := func(b *testing.B, st *core.Study) {
+		n := 0
 		for _, m := range st.MDACs {
-			toFeasible += m.Result.EvalsToFeasible
+			n += m.Result.EvalsToFeasible
 		}
-		b.ReportMetric(float64(toFeasible), "evalsToFeasible/study")
+		b.ReportMetric(float64(n), "evalsToFeasible/study")
 	}
 	b.Run("cold", func(b *testing.B) {
+		k0 := sim.ReadKernelStats()
 		var st *core.Study
 		for i := 0; i < b.N; i++ {
 			var err error
-			if st, err = core.Optimize(context.Background(), mk()); err != nil {
+			if st, err = core.Optimize(context.Background(), study13b(b, true)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		report(b, st)
+		reportStudy(b, st, k0)
+		toFeasible(b, st)
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache, err := synth.NewCache(0, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		prime := mk()
+		prime := study13b(b, true)
 		prime.Synth.Cache = cache
 		if _, err := core.Optimize(context.Background(), prime); err != nil {
 			b.Fatal(err)
@@ -167,13 +167,14 @@ func BenchmarkStudy13bRacing(b *testing.B) {
 		b.ResetTimer()
 		var st *core.Study
 		for i := 0; i < b.N; i++ {
-			o := mk()
+			o := study13b(b, true)
 			o.Synth.Cache = cache
 			if st, err = core.Optimize(context.Background(), o); err != nil {
 				b.Fatal(err)
 			}
 		}
-		report(b, st)
+		b.ReportMetric(float64(st.TotalEvals), "evals/study")
+		toFeasible(b, st)
 		b.ReportMetric(float64(st.CacheHits), "cacheHits/study")
 	})
 }

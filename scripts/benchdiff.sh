@@ -31,7 +31,7 @@ echo "benchdiff: fresh run (benchtime $BENCHTIME)..." >&2
 filter=$(dirname "$0")/benchfilter.sh
 go test -json -bench=. -benchmem -run='^$' -benchtime "$BENCHTIME" \
     ./internal/la ./internal/expr ./internal/sim ./internal/hybrid | "$filter" > "$fresh"
-go test -json -bench='^Benchmark(OP|TranSettle|TranSettleFullNewton|ACSweep|Study13b)$' \
+go test -json -bench='^Benchmark(OP|TranSettle|ACSweep|Study13b|Study13bRacing)$' \
     -benchmem -run='^$' -benchtime "$BENCHTIME" . | "$filter" >> "$fresh"
 
 # Extract "pkg/BenchmarkName ns_op" pairs from go-test JSON events.
