@@ -10,8 +10,11 @@ build:
 test: build
 	$(GO) test ./...
 
+# vet also gates formatting, over tracked files only so the gitignored
+# benchmark build cache (.bench_build/) stays out of it.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # Race lane: short mode keeps the seconds-long hybrid studies out, while
 # the scheduler, cache, and parallel-study tests all still run under the

@@ -4,6 +4,9 @@
 set -eux
 
 go vet ./...
+# Formatting gate over tracked files only, so the gitignored benchmark
+# build cache (.bench_build/) stays out of it.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
 go test ./...
 go test -race -short ./...

@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"pipesyn/internal/core"
-	"pipesyn/internal/hybrid"
 	"pipesyn/internal/report"
 	"pipesyn/internal/sched"
 	"pipesyn/internal/service"
@@ -67,45 +66,63 @@ import (
 	"pipesyn/internal/yield"
 )
 
-func main() {
-	bits := flag.Int("bits", 13, "target resolution, bits")
-	fs := flag.Float64("fs", 40e6, "sample rate, Hz")
-	vref := flag.Float64("vref", 1.0, "reference (full scale ±VRef), V")
-	modeStr := flag.String("mode", "hybrid", "evaluation mode: hybrid, equation, simulation, or yield (Monte-Carlo sign-off)")
-	draws := flag.Int("draws", 1000, "mode yield: Monte-Carlo process draws")
-	minENOB := flag.Float64("min-enob", 0, "mode yield: pass/fail ENOB spec (0 = bits-1)")
-	evals := flag.Int("evals", 180, "annealing evaluations per MDAC")
-	pattern := flag.Int("pattern", 90, "pattern-search evaluations per MDAC")
-	restarts := flag.Int("restarts", 1, "synthesis restarts per MDAC")
-	retarget := flag.Bool("retarget", false, "chain warm starts across MDACs (faster, slightly suboptimal)")
-	raceOn := flag.Bool("race", false, "successive-halving racing over the candidate portfolio")
-	raceRungs := flag.Int("race-rungs", 0, "racing rungs (0 = default 2)")
-	raceEta := flag.Int("race-eta", 0, "racing budget-reduction factor between rungs (0 = default 3)")
-	surrogate := flag.Bool("surrogate", false, "interleave quadratic-surrogate sizing proposals with annealer moves")
-	seed := flag.Int64("seed", 7, "random seed")
-	verify := flag.Bool("verify", false, "run a behavioral sine test on the best configuration")
-	jsonOut := flag.Bool("json", false, "emit the study result as JSON on stdout (same shape as the adcsynd service)")
-	withSHA := flag.Bool("sha", false, "also synthesize the front-end sample-and-hold")
-	workers := flag.Int("workers", 0, "parallel synthesis workers (0 = all cores, 1 = serial)")
-	cacheDir := flag.String("cache-dir", "", "content-addressed synthesis cache directory (empty = no cache)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole study (0 = unlimited)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
-	flag.Parse()
+// invocation is one parsed adcsyn command line: the study, described by
+// the same request body the adcsynd daemon accepts, plus the flags that
+// only shape how this process runs and reports it.
+type invocation struct {
+	req                    service.StudyRequest
+	workers                int
+	cacheDir               string
+	timeout                time.Duration
+	verify, jsonOut        bool
+	cpuProfile, memProfile string
+}
 
-	// Shared with the adcsynd API so CLI and service accept the same
-	// mode vocabulary. Yield is not an evaluator mode: it synthesizes
-	// with the full hybrid evaluator, then runs the Monte-Carlo lane.
-	isYield := *modeStr == "yield"
-	mode := hybrid.Hybrid
-	var err error
-	if !isYield {
-		if mode, err = service.ParseMode(*modeStr); err != nil {
-			fatal(err)
-		}
+// parseFlags parses the command line (without the program name) and
+// builds the study through service.StudyRequest.Options, the mapping and
+// validation adcsynd applies to a POST body, so the CLI accepts, rejects
+// and content-addresses a study exactly as the API does. A malformed
+// command line exits like flag.Parse (usage, status 2).
+func parseFlags(args []string) (invocation, core.Options, error) {
+	var inv invocation
+	r := &inv.req
+	fs := flag.NewFlagSet("adcsyn", flag.ExitOnError)
+	fs.IntVar(&r.Bits, "bits", 13, "target resolution, bits")
+	fs.Float64Var(&r.SampleRate, "fs", 40e6, "sample rate, Hz")
+	fs.Float64Var(&r.VRef, "vref", 1.0, "reference (full scale ±VRef), V")
+	fs.StringVar(&r.Mode, "mode", "hybrid", "evaluation mode: hybrid, equation, simulation, or yield (Monte-Carlo sign-off)")
+	fs.IntVar(&r.Draws, "draws", 0, "mode yield: Monte-Carlo process draws (0 = 1000)")
+	fs.Float64Var(&r.MinENOB, "min-enob", 0, "mode yield: pass/fail ENOB spec (0 = bits-1)")
+	fs.IntVar(&r.Evals, "evals", 180, "annealing evaluations per MDAC")
+	fs.IntVar(&r.Pattern, "pattern", 90, "pattern-search evaluations per MDAC")
+	fs.IntVar(&r.Restarts, "restarts", 1, "synthesis restarts per MDAC")
+	fs.BoolVar(&r.Retarget, "retarget", false, "chain warm starts across MDACs (faster, slightly suboptimal)")
+	fs.BoolVar(&r.Race, "race", false, "successive-halving racing over the candidate portfolio")
+	fs.IntVar(&r.RaceRungs, "race-rungs", 0, "racing rungs (0 = default 2; requires -race)")
+	fs.IntVar(&r.RaceEta, "race-eta", 0, "racing budget-reduction factor between rungs (0 = default 3; requires -race)")
+	fs.BoolVar(&r.Surrogate, "surrogate", false, "interleave quadratic-surrogate sizing proposals with annealer moves")
+	fs.Int64Var(&r.Seed, "seed", 7, "random seed")
+	fs.BoolVar(&r.SHA, "sha", false, "also synthesize the front-end sample-and-hold")
+	fs.BoolVar(&inv.verify, "verify", false, "run a behavioral sine test on the best configuration")
+	fs.BoolVar(&inv.jsonOut, "json", false, "emit the study result as JSON on stdout (same shape as the adcsynd service)")
+	fs.IntVar(&inv.workers, "workers", 0, "parallel synthesis workers (0 = all cores, 1 = serial)")
+	fs.StringVar(&inv.cacheDir, "cache-dir", "", "content-addressed synthesis cache directory (empty = no cache)")
+	fs.DurationVar(&inv.timeout, "timeout", 0, "wall-clock budget for the whole study (0 = unlimited)")
+	fs.StringVar(&inv.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&inv.memProfile, "memprofile", "", "write a heap profile to this file (taken after the run)")
+	fs.Parse(args) // ExitOnError: never returns an error
+	opts, err := r.Options()
+	return inv, opts, err
+}
+
+func main() {
+	inv, opts, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fatal(err)
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	isYield := inv.req.Yield()
+	if inv.cpuProfile != "" {
+		f, err := os.Create(inv.cpuProfile)
 		if err != nil {
 			fatal(err)
 		}
@@ -120,30 +137,24 @@ func main() {
 		}
 		defer stopCPU()
 	}
-	if *memProfile != "" {
-		defer writeMemProfile(*memProfile)
+	if inv.memProfile != "" {
+		defer writeMemProfile(inv.memProfile)
 	}
+	// Execution knobs are the process's to set, as they are the daemon's.
+	opts.Workers = inv.workers
 	var cache *synth.Cache
-	if *cacheDir != "" {
-		cache, err = synth.NewCache(0, *cacheDir)
+	if inv.cacheDir != "" {
+		cache, err = synth.NewCache(0, inv.cacheDir)
 		if err != nil {
 			fatal(err)
 		}
-	}
-	opts := core.Options{
-		Bits: *bits, SampleRate: *fs, VRef: *vref, Mode: mode, Retarget: *retarget,
-		Race: *raceOn, RaceRungs: *raceRungs, RaceEta: *raceEta,
-		IncludeSHA: *withSHA, Workers: *workers,
-		Synth: synth.Options{
-			Seed: *seed, MaxEvals: *evals, PatternIter: *pattern,
-			Restarts: *restarts, Cache: cache, Surrogate: *surrogate,
-		},
+		opts.Synth.Cache = cache
 	}
 	var pool *sched.Pool
 	if isYield {
 		// One explicit pool serves both the synthesis fan-out and the
 		// Monte-Carlo draws, so -workers bounds the whole run.
-		pool = sched.NewPool(*workers)
+		pool = sched.NewPool(inv.workers)
 		opts.Pool = pool
 	}
 	// Ctrl-C (or SIGTERM from a job runner) cancels the study; the engine
@@ -152,9 +163,9 @@ func main() {
 	// wall-clock budget.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if inv.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, inv.timeout)
 		defer cancel()
 	}
 	t0 := time.Now()
@@ -162,7 +173,7 @@ func main() {
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			fatal(fmt.Errorf("study exceeded the %s budget: %w", *timeout, err))
+			fatal(fmt.Errorf("study exceeded the %s budget: %w", inv.timeout, err))
 		case errors.Is(err, context.Canceled):
 			fatal(fmt.Errorf("study interrupted: %w", err))
 		}
@@ -170,7 +181,7 @@ func main() {
 	}
 	var yres *yield.Result
 	if isYield {
-		spec := yield.Spec{Draws: *draws, MinENOB: *minENOB}
+		spec := inv.req.YieldSpec()
 		model, err := yield.FromStudy(st, opts, spec)
 		if err != nil {
 			fatal(err)
@@ -183,15 +194,15 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *jsonOut {
+	if inv.jsonOut {
 		// Machine-readable path: the same wire type the adcsynd service
 		// answers with, so CLI and daemon reports are interchangeable.
-		out := service.EncodeStudy(st, mode, time.Since(t0))
+		out := service.EncodeStudy(st, opts.Mode, time.Since(t0))
 		if isYield {
 			out.Mode = "yield"
 			out.Yield = yres
 		}
-		if *verify {
+		if inv.verify {
 			m, err := core.BehavioralCheck(st, opts, 4096)
 			if err != nil {
 				fatal(err)
@@ -206,7 +217,7 @@ func main() {
 		return
 	}
 	fmt.Printf("pipesyn topology optimization — %d-bit %.0f MSPS (%s mode)\n",
-		*bits, *fs/1e6, mode)
+		opts.Bits, opts.SampleRate/1e6, opts.Mode)
 	fmt.Printf("elapsed %s, %d evaluator calls, %d MDAC design points (%d paper classes)\n",
 		time.Since(t0).Round(time.Millisecond), st.TotalEvals, len(st.MDACs), st.PaperMDACClasses)
 	if st.Race != nil {
@@ -220,7 +231,7 @@ func main() {
 	if cache != nil {
 		cs := cache.Stats()
 		fmt.Printf("synthesis cache: %d hits (%d from disk), %d misses in %s\n",
-			st.CacheHits, cs.DiskHits, st.CacheMisses, *cacheDir)
+			st.CacheHits, cs.DiskHits, st.CacheMisses, inv.cacheDir)
 	}
 	fmt.Println()
 	if err := report.Fig1(os.Stdout, st); err != nil {
@@ -241,7 +252,7 @@ func main() {
 			st.SHA.Metrics.Power*1e3, st.FullPower(st.Best)*1e3)
 	}
 
-	if *verify {
+	if inv.verify {
 		m, err := core.BehavioralCheck(st, opts, 4096)
 		if err != nil {
 			fatal(err)

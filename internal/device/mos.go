@@ -105,21 +105,55 @@ type OP struct {
 }
 
 // Eval computes the operating point at the given terminal voltages
-// (drain, gate, source, bulk, all referred to ground).
+// (drain, gate, source, bulk, all referred to ground). It compiles p on
+// every call; solvers that evaluate one device repeatedly hold the
+// MOSModel from Compile instead.
 func (p *MOSParams) Eval(vd, vg, vs, vb float64) OP {
+	m := p.Compile()
 	var op OP
-	p.EvalInto(&op, vd, vg, vs, vb)
+	m.EvalInto(&op, vd, vg, vs, vb)
 	return op
 }
 
-// EvalInto is Eval writing into a caller-provided OP, avoiding the
-// struct-return copy on the per-Newton-iteration stamp path.
-func (p *MOSParams) EvalInto(op *OP, vd, vg, vs, vb float64) {
-	pol := 1.0
+// MOSModel is a MOSParams compiled for evaluation: the polarity and the
+// derived constants (KP·W/L, λ·Lref/L, √φ, the geometry capacitances)
+// computed once, so the per-Newton-iteration stamp reads eleven floats
+// instead of recomputing them from the parameter card.
+type MOSModel struct {
+	pol     float64 // +1 NMOS, −1 PMOS
+	vtoN    float64 // threshold in the mapped-NMOS frame
+	gamma   float64
+	phi     float64
+	sqrtPhi float64
+	k       float64 // KP·W/L
+	lam     float64 // Lambda·0.25µm/L: λ scales inversely with channel length
+	cch     float64 // Cox·W·L
+	cgsoW   float64 // CGSO·W
+	cgdoW   float64 // CGDO·W
+	cjwW    float64 // CJW·W
+}
+
+// Compile precomputes the constants MOSModel.EvalInto reads.
+func (p *MOSParams) Compile() MOSModel {
+	pol, vtoN := 1.0, p.VTO
 	if p.PMOS {
-		pol = -1
+		pol, vtoN = -1, -p.VTO // in the mapped NMOS frame the threshold is positive
 	}
+	return MOSModel{
+		pol: pol, vtoN: vtoN,
+		gamma: p.Gamma, phi: p.Phi, sqrtPhi: math.Sqrt(p.Phi),
+		k:   p.KP * p.W / p.L,
+		lam: p.Lambda * 0.25e-6 / p.L,
+		cch: p.Cox * p.W * p.L, cgsoW: p.CGSO * p.W, cgdoW: p.CGDO * p.W, cjwW: p.CJW * p.W,
+	}
+}
+
+// EvalInto computes the operating point at the given terminal voltages
+// into op: polarity mapping, drain/source reverse swap, the square-law
+// forward equations, and the Meyer capacitances.
+func (m *MOSModel) EvalInto(op *OP, vd, vg, vs, vb float64) {
 	// Map to an equivalent NMOS problem.
+	pol := m.pol
 	vgs := pol * (vg - vs)
 	vds := pol * (vd - vs)
 	vbs := pol * (vb - vs)
@@ -128,44 +162,21 @@ func (p *MOSParams) EvalInto(op *OP, vd, vg, vs, vb float64) {
 		// Swap source and drain: the device is symmetric.
 		vgs, vds, vbs = vgs-vds, -vds, vbs-vds
 	}
-	id, gm, gds, gmb, region, vth := p.evalForward(vgs, vds, vbs)
-	if reverse {
-		// Chain rule back to the original terminal ordering.
-		id, gm, gds, gmb = -id, -gm, gm+gds+gmb, -gmb
-		// gds above: ∂(−f(vgs−vds, −vds, vbs−vds))/∂vds = f_g + f_d + f_b.
-	}
-	op.ID = pol * id
-	op.GM, op.GDS, op.GMB = gm, gds, gmb
-	op.Region = region
-	op.VGS = vgs
-	op.VDS = vds
-	op.VOV = vgs - vth
-	p.caps(op)
-}
-
-// evalForward evaluates the square-law equations for vds ≥ 0, returning
-// the drain current and its three partial derivatives plus the threshold.
-func (p *MOSParams) evalForward(vgs, vds, vbs float64) (id, gm, gds, gmb float64, region Region, vth float64) {
 	// Body effect: vth = VTO + γ(√(φ−vbs) − √φ). Clamp the sqrt argument;
 	// the derivative is taken on the clamped branch which keeps Newton
 	// consistent.
-	vtoN := p.VTO
-	if p.PMOS {
-		vtoN = -p.VTO // in the mapped NMOS frame the threshold is positive
-	}
-	phiV := p.Phi
-	arg := phiV - vbs
+	arg := m.phi - vbs
 	var dvthDvbs float64
 	if arg < 1e-6 {
 		arg = 1e-6
-		dvthDvbs = 0
 	} else {
-		dvthDvbs = -p.Gamma / (2 * math.Sqrt(arg))
+		dvthDvbs = -m.gamma / (2 * math.Sqrt(arg))
 	}
-	vth = vtoN + p.Gamma*(math.Sqrt(arg)-math.Sqrt(phiV))
+	vth := m.vtoN + m.gamma*(math.Sqrt(arg)-m.sqrtPhi)
 	vov := vgs - vth
-	k := p.KP * p.W / p.L
-	lam := p.Lambda * 0.25e-6 / p.L // λ scales inversely with channel length
+	k, lam := m.k, m.lam
+	var id, gm, gds, gmb float64
+	var region Region
 	switch {
 	case vov <= 0:
 		region = Cutoff
@@ -174,7 +185,6 @@ func (p *MOSParams) evalForward(vgs, vds, vbs float64) (id, gm, gds, gmb float64
 		const gleak = 1e-12
 		id = gleak * vds
 		gds = gleak
-		gm, gmb = 0, 0
 	case vds >= vov:
 		region = Saturation
 		cm := 1 + lam*vds
@@ -191,30 +201,36 @@ func (p *MOSParams) evalForward(vgs, vds, vbs float64) (id, gm, gds, gmb float64
 		gds = k*(vov-vds)*cm + k*base*lam
 		gmb = gm * (-dvthDvbs)
 	}
-	return id, gm, gds, gmb, region, vth
-}
-
-// caps fills the terminal capacitances using the Meyer-style piecewise
-// model: channel capacitance splits 2/3-to-source in saturation and
-// half/half in triode, plus constant overlap and junction terms.
-func (p *MOSParams) caps(op *OP) {
-	cch := p.Cox * p.W * p.L
-	switch op.Region {
+	if reverse {
+		// Chain rule back to the original terminal ordering:
+		// ∂(−f(vgs−vds, −vds, vbs−vds))/∂vds = f_g + f_d + f_b.
+		id, gm, gds, gmb = -id, -gm, gm+gds+gmb, -gmb
+	}
+	op.ID = pol * id
+	op.GM, op.GDS, op.GMB = gm, gds, gmb
+	op.Region = region
+	op.VGS = vgs
+	op.VDS = vds
+	op.VOV = vov
+	// Meyer-style piecewise capacitances: the channel splits
+	// 2/3-to-source in saturation and half/half in triode, plus constant
+	// overlap and junction terms.
+	switch region {
 	case Cutoff:
-		op.CGB = cch
-		op.CGS = p.CGSO * p.W
-		op.CGD = p.CGDO * p.W
+		op.CGB = m.cch
+		op.CGS = m.cgsoW
+		op.CGD = m.cgdoW
 	case Saturation:
-		op.CGS = (2.0/3.0)*cch + p.CGSO*p.W
-		op.CGD = p.CGDO * p.W
+		op.CGS = (2.0/3.0)*m.cch + m.cgsoW
+		op.CGD = m.cgdoW
 		op.CGB = 0
 	case Triode:
-		op.CGS = 0.5*cch + p.CGSO*p.W
-		op.CGD = 0.5*cch + p.CGDO*p.W
+		op.CGS = 0.5*m.cch + m.cgsoW
+		op.CGD = 0.5*m.cch + m.cgdoW
 		op.CGB = 0
 	}
-	op.CDB = p.CJW * p.W
-	op.CSB = p.CJW * p.W
+	op.CDB = m.cjwW
+	op.CSB = m.cjwW
 }
 
 // SwitchParams models an ideal clocked switch as a two-state resistor.

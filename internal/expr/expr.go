@@ -367,19 +367,6 @@ func (e Expr) ToRat(sName string, env map[string]float64) (poly.Rat, error) {
 	return e.toRat(sName, env, poly.RatVar())
 }
 
-// ToRatScaled converts like ToRat but with the Laplace variable normalized:
-// it returns H̃(s̃) = H(ω0·s̃). Circuit transfer functions whose dynamics
-// live near ω0 then have polynomial coefficients of comparable magnitude,
-// which keeps high-order Mason results evaluable in double precision
-// (raw-s coefficients of a degree-40 network span hundreds of decades and
-// underflow). Evaluate at s̃ = jω/ω0; poles/zeros scale by ω0.
-func (e Expr) ToRatScaled(sName string, env map[string]float64, omega0 float64) (poly.Rat, error) {
-	if omega0 <= 0 {
-		return poly.Rat{}, fmt.Errorf("expr: non-positive frequency scale %g", omega0)
-	}
-	return e.toRat(sName, env, poly.RatVar().Scale(omega0))
-}
-
 func (e Expr) toRat(sName string, env map[string]float64, sVal poly.Rat) (poly.Rat, error) {
 	switch e.kind {
 	case kConst:

@@ -208,7 +208,7 @@ func TestWarmEvaluatorIsolation(t *testing.T) {
 	c.W1 *= 1.3
 	c.IRef *= 0.8
 	c.CC *= 1.2
-	c.RZ *= 1.5 // moves the constant stamp, not just the device slab
+	c.RZ *= 1.5 // moves the constant stamp, not just the device models
 	noDC := a
 	noDC.IRef = 1e3 // DC exhausts Newton, gmin and source stepping
 	badValue := a

@@ -204,9 +204,6 @@ func TestCSingular(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	v := []float64{3, -4}
-	if n := Norm2(v); math.Abs(n-5) > 1e-12 {
-		t.Fatalf("Norm2 = %g, want 5", n)
-	}
 	if n := NormInf(v); n != 4 {
 		t.Fatalf("NormInf = %g, want 4", n)
 	}

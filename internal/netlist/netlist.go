@@ -141,7 +141,10 @@ func New(title string) *Circuit {
 	return &Circuit{Title: title, Models: map[string]*Model{}}
 }
 
-// Add appends an element, validating its terminal count.
+// Add appends an element, validating its terminal count and rejecting a
+// name (case-insensitively) that the circuit already uses: analyses
+// report devices and branch currents by element name, so a second M1
+// would silently take the first one's place.
 func (c *Circuit) Add(e *Element) error {
 	want := map[ElemType]int{
 		Resistor: 2, Capacitor: 2, VSource: 2, ISource: 2,
@@ -153,6 +156,11 @@ func (c *Circuit) Add(e *Element) error {
 	for _, n := range e.Nodes {
 		if n == "" {
 			return fmt.Errorf("netlist: %s has empty node name", e.Name)
+		}
+	}
+	for _, prev := range c.Elements {
+		if strings.EqualFold(prev.Name, e.Name) {
+			return fmt.Errorf("netlist: duplicate element name %s", e.Name)
 		}
 	}
 	c.Elements = append(c.Elements, e)

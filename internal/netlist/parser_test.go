@@ -335,6 +335,54 @@ func TestCircuitAddValidation(t *testing.T) {
 	}
 }
 
+// TestParseRejectsDuplicateNames: two cards with one name must fail at
+// parse time. Accepted, the two M1 cards below both simulate with the
+// last card's W (every drain reads the same voltage) and report as one
+// device, and the two V1 cards share one branch row and leave the MNA
+// matrix singular.
+func TestParseRejectsDuplicateNames(t *testing.T) {
+	decks := map[string]string{
+		"two M1": `* duplicate MOS
+V1 vdd 0 DC 3.3
+VG g 0 DC 1.2
+R1 vdd d1 10k
+R2 vdd d2 10k
+M1 d1 g 0 0 nch W=10u L=1u
+M1 d2 g 0 0 nch W=1u L=1u
+.model nch nmos (vto=0.45 kp=180u)
+`,
+		"two V1": `* duplicate source
+V1 a 0 DC 1
+V1 b 0 DC 2
+R1 a b 1k
+`,
+		"case-insensitive": `* m1 vs M1
+R1 a 0 1k
+r1 a b 2k
+`,
+		"flattened": `* two instances named X1
+.subckt div a b
+R1 a b 1k
+.ends
+X1 in mid div
+X1 mid 0 div
+`,
+	}
+	for name, deck := range decks {
+		if _, err := Parse(deck); err == nil || !strings.Contains(err.Error(), "duplicate element name") {
+			t.Errorf("%s: Parse error %v, want a duplicate element name error", name, err)
+		}
+	}
+	c := New("t")
+	c.MustAdd(&Element{Name: "M1", Type: Resistor, Nodes: []string{"a", "0"}, Value: 1})
+	if err := c.Add(&Element{Name: "m1", Type: Resistor, Nodes: []string{"b", "0"}, Value: 1}); err == nil {
+		t.Fatal("Add accepted m1 after M1")
+	}
+	if len(c.Elements) != 1 {
+		t.Fatalf("rejected element was appended: %d elements", len(c.Elements))
+	}
+}
+
 func TestStringRoundTrip(t *testing.T) {
 	c, err := Parse(rcDeck)
 	if err != nil {

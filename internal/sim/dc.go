@@ -164,15 +164,11 @@ func finishDC(cc *compiled, x []float64, iters int) *DCResult {
 	for name, i := range cc.layout.BranchIndex {
 		r.BranchI[name] = x[i]
 	}
-	for _, e := range cc.circuit.Elements {
-		if e.Type == netlist.MOS {
-			p := cc.mos[e.Name]
-			vd := cc.layout.Voltage(x, e.Nodes[0])
-			vg := cc.layout.Voltage(x, e.Nodes[1])
-			vs := cc.layout.Voltage(x, e.Nodes[2])
-			vb := cc.layout.Voltage(x, e.Nodes[3])
-			r.MOS[e.Name] = p.Eval(vd, vg, vs, vb)
-		}
+	for i := range cc.mosElems {
+		m := &cc.mosElems[i]
+		var op device.OP
+		m.model.EvalInto(&op, nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b))
+		r.MOS[m.name] = op
 	}
 	r.Iterations = iters
 	return r
@@ -270,66 +266,6 @@ func newtonLoop(cc *compiled, ws *dcWorkspace, x0 []float64, opts DCOpts, reuse 
 		Analysis: "dc", Iterations: opts.MaxIter,
 		WorstNode: worst, WorstDelta: worstDelta,
 		Detail: "state: " + cc.layout.describeState(x),
-	}
-}
-
-// stampDC assembles the linearized MNA system at candidate solution x in
-// one pass over the element list. Capacitors are open circuits in DC.
-// The solver itself uses the split baseline+MOS kernel path (kernel.go);
-// this single-pass assembler is kept as the reference the kernel is
-// tested against (TestKernelStampMatchesReference).
-func stampDC(cc *compiled, a *la.Matrix, b []float64, x []float64, gmin, srcScale float64, switchPhase int) {
-	l := cc.layout
-	// Gmin shunts keep floating nodes (e.g. capacitively driven gates)
-	// weakly tied to ground.
-	for i := 0; i < len(l.Nodes); i++ {
-		a.Add(i, i, gmin)
-	}
-	for _, e := range cc.circuit.Elements {
-		switch e.Type {
-		case netlist.Resistor:
-			stampConductance(a, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), 1/e.Value)
-		case netlist.Capacitor:
-			// open in DC
-		case netlist.Switch:
-			sw := cc.switches[e.Name]
-			active := sw.Phase == 0 || sw.Phase == switchPhase
-			stampConductance(a, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), sw.Conductance(active))
-		case netlist.ISource:
-			i0 := e.Src.DC * srcScale
-			addRHS(b, l.idx(e.Nodes[0]), -i0)
-			addRHS(b, l.idx(e.Nodes[1]), +i0)
-		case netlist.VSource:
-			br := l.BranchIndex[e.Name]
-			stampVoltageBranch(a, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), br)
-			b[br] += e.Src.DC * srcScale
-		case netlist.VCVS:
-			br := l.BranchIndex[e.Name]
-			op, on := l.idx(e.Nodes[0]), l.idx(e.Nodes[1])
-			cp, cn := l.idx(e.Nodes[2]), l.idx(e.Nodes[3])
-			stampVoltageBranch(a, op, on, br)
-			addA(a, br, cp, -e.Value)
-			addA(a, br, cn, +e.Value)
-		case netlist.VCCS:
-			op, on := l.idx(e.Nodes[0]), l.idx(e.Nodes[1])
-			cp, cn := l.idx(e.Nodes[2]), l.idx(e.Nodes[3])
-			stampVCCS(a, op, on, cp, cn, e.Value)
-		case netlist.MOS:
-			p := cc.mos[e.Name]
-			d, g, s, bk := l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3])
-			vd := nodeV(x, d)
-			vg := nodeV(x, g)
-			vs := nodeV(x, s)
-			vb := nodeV(x, bk)
-			op := p.Eval(vd, vg, vs, vb)
-			// Linearized companion: id ≈ ID + gm·Δvgs + gds·Δvds + gmb·Δvbs.
-			stampVCCS(a, d, s, g, s, op.GM)
-			stampConductance(a, d, s, op.GDS)
-			stampVCCS(a, d, s, bk, s, op.GMB)
-			ieq := op.ID - op.GM*(vg-vs) - op.GDS*(vd-vs) - op.GMB*(vb-vs)
-			addRHS(b, d, -ieq)
-			addRHS(b, s, +ieq)
-		}
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 	"pipesyn/internal/netlist"
 )
 
-// mosElem is a MOS transistor with its terminals resolved to MNA rows.
-// Its parameters live in the kernel's SoA ParamsBatch slab (see
-// compiled.mosPB); element i reads slab index i.
+// mosElem is a MOS transistor with its terminals resolved to MNA rows
+// and its compiled device model.
 type mosElem struct {
+	name       string
 	d, g, s, b int
+	model      device.MOSModel
 }
 
 // capElem is a fixed capacitor with resolved terminals.
@@ -44,12 +45,12 @@ type srcElem struct {
 
 // bindValues (re)builds every part of the compiled kernel that depends
 // on the circuit's values rather than its structure: the element views
-// (indices plus device values), the constant stamp, the packed MOS
-// parameter slab, and the cached per-phase stamps. compile and
-// Kernel.Bind both come through here, reusing the existing storage on a
-// rebind; one assembly order for both is what keeps a rebound kernel
-// bit-identical to a fresh compile of the same circuit.
-func (cc *compiled) bindValues() {
+// (indices plus device values, with mos the compiled MOS models in
+// element order), the constant stamp, and the cached per-phase stamps.
+// compile and Kernel.Bind both come through here, reusing the existing
+// storage on a rebind; one assembly order for both is what keeps a
+// rebound kernel bit-identical to a fresh compile of the same circuit.
+func (cc *compiled) bindValues(mos []device.MOSModel) {
 	l := cc.layout
 	if cc.constG == nil {
 		cc.constG = la.NewMatrix(l.Size, l.Size)
@@ -83,19 +84,9 @@ func (cc *compiled) bindValues() {
 			stampVCCS(cc.constG, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3]), e.Value)
 		case netlist.MOS:
 			cc.mosElems = append(cc.mosElems, mosElem{
-				l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3]),
+				e.Name, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3]),
+				mos[len(cc.mosElems)],
 			})
-		}
-	}
-	if cc.mosPB == nil {
-		cc.mosPB = device.NewParamsBatch(1, len(cc.mosElems))
-	}
-	j := 0
-	for _, e := range cc.circuit.Elements {
-		if e.Type == netlist.MOS {
-			p := cc.mos[e.Name]
-			cc.mosPB.Set(0, j, &p)
-			j++
 		}
 	}
 	for phase, m := range cc.phaseG {
@@ -109,8 +100,8 @@ func (cc *compiled) bindValues() {
 // static-ordered analysis the Newton loops prefer. The analyses depend
 // only on structure, so Kernel.Bind never repeats them. Called once from
 // compile.
-func (cc *compiled) buildKernel() {
-	cc.bindValues()
+func (cc *compiled) buildKernel(mos []device.MOSModel) {
+	cc.bindValues(mos)
 	pat := cc.buildPattern(true)
 	cc.sym = la.Analyze(pat)
 	// Base-only pattern (no MOS positions): the direct-residual path
@@ -220,11 +211,10 @@ func (cc *compiled) fillPhase(m *la.Matrix, phase int) {
 // matrix work repeated at every Newton iteration of the DC solver.
 func stampMOS(cc *compiled, a *la.Matrix, b []float64, x []float64) {
 	var op device.OP
-	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
-		pb.EvalInto(&op, i, vd, vg, vs, vb)
+		m.model.EvalInto(&op, vd, vg, vs, vb)
 		stampVCCS(a, m.d, m.s, m.g, m.s, op.GM)
 		stampConductance(a, m.d, m.s, op.GDS)
 		stampVCCS(a, m.d, m.s, m.b, m.s, op.GMB)
@@ -238,11 +228,10 @@ func stampMOS(cc *compiled, a *la.Matrix, b []float64, x []float64) {
 // terminal capacitances referenced to the previous accepted step.
 func stampMOSTran(cc *compiled, a *la.Matrix, b []float64, x, xPrev []float64, h float64) {
 	var op device.OP
-	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
-		pb.EvalInto(&op, i, vd, vg, vs, vb)
+		m.model.EvalInto(&op, vd, vg, vs, vb)
 		stampVCCS(a, m.d, m.s, m.g, m.s, op.GM)
 		stampConductance(a, m.d, m.s, op.GDS)
 		stampVCCS(a, m.d, m.s, m.b, m.s, op.GMB)
@@ -372,11 +361,10 @@ func (ws *dcWorkspace) residualDC(cc *compiled) {
 		ws.r[i] -= ws.baseB[i]
 	}
 	var op device.OP
-	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(ws.x, m.d), nodeV(ws.x, m.g), nodeV(ws.x, m.s), nodeV(ws.x, m.b)
-		pb.EvalInto(&op, i, vd, vg, vs, vb)
+		m.model.EvalInto(&op, vd, vg, vs, vb)
 		addRHS(ws.r, m.d, op.ID)
 		addRHS(ws.r, m.s, -op.ID)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pipesyn/internal/device"
 	"pipesyn/internal/la"
 	"pipesyn/internal/netlist"
 )
@@ -90,6 +91,73 @@ func TestKernelStampMatchesReference(t *testing.T) {
 				t.Fatalf("phase=%d gmin=%g: b[%d] kernel %g, reference %g",
 					tc.phase, tc.gmin, i, bK[i], bRef[i])
 			}
+		}
+	}
+}
+
+// stampDC assembles the linearized MNA system at candidate solution x in
+// one pass over the element list. Capacitors are open circuits in DC.
+// The solver itself uses the split baseline+MOS kernel path (kernel.go);
+// this single-pass assembler is the reference the kernel is tested
+// against (TestKernelStampMatchesReference). It resolves the MOS models
+// from the netlist itself rather than reading the kernel's element views,
+// so a device bound to the wrong element cannot agree with it.
+func stampDC(cc *compiled, a *la.Matrix, b []float64, x []float64, gmin, srcScale float64, switchPhase int) {
+	l := cc.layout
+	mos, _, err := resolveDevices(cc.circuit)
+	if err != nil {
+		panic(err)
+	}
+	// Gmin shunts keep floating nodes (e.g. capacitively driven gates)
+	// weakly tied to ground.
+	for i := 0; i < len(l.Nodes); i++ {
+		a.Add(i, i, gmin)
+	}
+	for _, e := range cc.circuit.Elements {
+		switch e.Type {
+		case netlist.Resistor:
+			stampConductance(a, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), 1/e.Value)
+		case netlist.Capacitor:
+			// open in DC
+		case netlist.Switch:
+			sw := cc.switches[e.Name]
+			active := sw.Phase == 0 || sw.Phase == switchPhase
+			stampConductance(a, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), sw.Conductance(active))
+		case netlist.ISource:
+			i0 := e.Src.DC * srcScale
+			addRHS(b, l.idx(e.Nodes[0]), -i0)
+			addRHS(b, l.idx(e.Nodes[1]), +i0)
+		case netlist.VSource:
+			br := l.BranchIndex[e.Name]
+			stampVoltageBranch(a, l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), br)
+			b[br] += e.Src.DC * srcScale
+		case netlist.VCVS:
+			br := l.BranchIndex[e.Name]
+			op, on := l.idx(e.Nodes[0]), l.idx(e.Nodes[1])
+			cp, cn := l.idx(e.Nodes[2]), l.idx(e.Nodes[3])
+			stampVoltageBranch(a, op, on, br)
+			addA(a, br, cp, -e.Value)
+			addA(a, br, cn, +e.Value)
+		case netlist.VCCS:
+			op, on := l.idx(e.Nodes[0]), l.idx(e.Nodes[1])
+			cp, cn := l.idx(e.Nodes[2]), l.idx(e.Nodes[3])
+			stampVCCS(a, op, on, cp, cn, e.Value)
+		case netlist.MOS:
+			d, g, s, bk := l.idx(e.Nodes[0]), l.idx(e.Nodes[1]), l.idx(e.Nodes[2]), l.idx(e.Nodes[3])
+			vd := nodeV(x, d)
+			vg := nodeV(x, g)
+			vs := nodeV(x, s)
+			vb := nodeV(x, bk)
+			var op device.OP
+			mos[0].EvalInto(&op, vd, vg, vs, vb)
+			mos = mos[1:]
+			// Linearized companion: id ≈ ID + gm·Δvgs + gds·Δvds + gmb·Δvbs.
+			stampVCCS(a, d, s, g, s, op.GM)
+			stampConductance(a, d, s, op.GDS)
+			stampVCCS(a, d, s, bk, s, op.GMB)
+			ieq := op.ID - op.GM*(vg-vs) - op.GDS*(vd-vs) - op.GMB*(vb-vs)
+			addRHS(b, d, -ieq)
+			addRHS(b, s, +ieq)
 		}
 	}
 }

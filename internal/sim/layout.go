@@ -66,15 +66,6 @@ func (l *Layout) idx(node string) int {
 	return i
 }
 
-// Voltage extracts a node voltage from a solution vector (0 for ground).
-func (l *Layout) Voltage(x []float64, node string) float64 {
-	i := l.idx(node)
-	if i < 0 {
-		return 0
-	}
-	return x[i]
-}
-
 // compiled is the per-simulation view of a circuit: elements paired with
 // their resolved device parameters so the assembly loop never re-parses
 // model cards, plus the kernel layer (see kernel.go): element views with
@@ -83,11 +74,9 @@ func (l *Layout) Voltage(x []float64, node string) float64 {
 type compiled struct {
 	circuit  *netlist.Circuit
 	layout   *Layout
-	mos      map[string]device.MOSParams
-	switches map[string]device.SwitchParams
+	switches map[string]device.SwitchParams // by name: the AC and noise assemblers look switches up
 
 	mosElems []mosElem
-	mosPB    *device.ParamsBatch // SoA MOS parameter slab, one candidate wide
 	capElems []capElem
 	swElems  []swElem
 	srcElems []srcElem
@@ -108,10 +97,17 @@ type compiled struct {
 }
 
 // resolveDevices validates element values and resolves model cards into
-// device parameter structs. Shared by compile and Kernel.Bind so a
-// rebound candidate sees exactly the standalone validation.
-func resolveDevices(c *netlist.Circuit) (map[string]device.MOSParams, map[string]device.SwitchParams, error) {
-	mos := map[string]device.MOSParams{}
+// the compiled MOS models, in element order, and the switch parameters.
+// Shared by compile and Kernel.Bind so a rebound candidate sees exactly
+// the standalone validation.
+func resolveDevices(c *netlist.Circuit) ([]device.MOSModel, map[string]device.SwitchParams, error) {
+	n := 0
+	for _, e := range c.Elements {
+		if e.Type == netlist.MOS {
+			n++
+		}
+	}
+	mos := make([]device.MOSModel, 0, n)
 	switches := map[string]device.SwitchParams{}
 	for _, e := range c.Elements {
 		switch e.Type {
@@ -124,7 +120,7 @@ func resolveDevices(c *netlist.Circuit) (map[string]device.MOSParams, map[string
 			if err != nil {
 				return nil, nil, err
 			}
-			mos[e.Name] = p
+			mos = append(mos, p.Compile())
 		case netlist.Switch:
 			m, err := c.ModelFor(e)
 			if err != nil {
@@ -156,13 +152,12 @@ func compile(c *netlist.Circuit) (*compiled, error) {
 	cc := &compiled{
 		circuit:  c,
 		layout:   NewLayout(c),
-		mos:      mos,
 		switches: switches,
 	}
 	if cc.layout.Size == 0 {
 		return nil, fmt.Errorf("sim: circuit %q has no unknowns", c.Title)
 	}
-	cc.buildKernel()
+	cc.buildKernel(mos)
 	return cc, nil
 }
 

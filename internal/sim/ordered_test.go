@@ -7,47 +7,6 @@ import (
 	"testing"
 )
 
-// TestBatchSoAStampDoesNotAllocate pins the rebound stamp path: once a
-// warm kernel has been rebound to another candidate of the batch, a DC
-// Newton iteration reading device parameters from the repacked SoA slab
-// does zero heap allocations — Bind refills the slab in place, and the
-// slab lookup stays pure indexing, never a per-device unpack.
-func TestBatchSoAStampDoesNotAllocate(t *testing.T) {
-	k, err := NewKernel(parseDeck(t, batchVariant(t, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab := k.cc.mosPB
-	if err := k.Bind(parseDeck(t, batchVariant(t, 2))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.OP(DCOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	cc := k.cc
-	if cc.mosPB != slab {
-		t.Fatal("Bind replaced the SoA slab instead of refilling it")
-	}
-	opts := DCOpts{}
-	opts.defaults()
-	x0 := make([]float64, cc.layout.Size)
-	sol, _, err := newton(cc, x0, opts.Gmin, 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := cc.dcWS()
-	ws.prepare(cc, opts.Gmin, 1, 0)
-	copy(ws.x, sol)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := ws.iterate(cc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("rebound SoA Newton iteration allocates %g objects, want 0", allocs)
-	}
-}
-
 // randomizedDeck perturbs the reuse deck's geometry, capacitors, and
 // bias in log space: structurally always the same circuit, numerically a
 // fresh one each call.

@@ -309,11 +309,10 @@ func (tr *tranRun) residualTran(r, x, xPrev []float64, h float64) {
 		r[i] -= tr.stepB[i]
 	}
 	var op device.OP
-	pb := cc.mosPB
 	for i := range cc.mosElems {
 		m := &cc.mosElems[i]
 		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
-		pb.EvalInto(&op, i, vd, vg, vs, vb)
+		m.model.EvalInto(&op, vd, vg, vs, vb)
 		addRHS(r, m.d, op.ID)
 		addRHS(r, m.s, -op.ID)
 		capResidual(r, m.g, m.s, op.CGS, x, xPrev, h)

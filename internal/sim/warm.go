@@ -17,7 +17,7 @@ import (
 // swaps in the values of the next one. Every analysis on a rebound
 // kernel is bit-identical to the same analysis on a fresh compile of
 // that circuit: Bind rebuilds all value-derived state (element views,
-// constant and per-phase stamps, the packed device slab), and each
+// constant and per-phase stamps, the compiled device models), and each
 // analysis re-arms the ordered-pivot path, drops any carried reuse
 // factorization and overwrites its workspaces before reading them.
 //
@@ -48,9 +48,9 @@ func (k *Kernel) Bind(c *netlist.Circuit) error {
 	if err != nil {
 		return err
 	}
-	cc.circuit, cc.mos, cc.switches = c, mos, switches
+	cc.circuit, cc.switches = c, switches
 	cc.binding++
-	cc.bindValues()
+	cc.bindValues(mos)
 	return nil
 }
 

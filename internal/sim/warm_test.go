@@ -166,6 +166,60 @@ func TestBatchRejectsStructureMismatch(t *testing.T) {
 	sameOP(t, "after rejected binds", got, want)
 }
 
+// TestWarmRebindIterationDoesNotAllocate pins the rebound stamp path:
+// Bind refills the element views in place — same backing storage, each
+// MOS view holding exactly the model a cold compile of the new circuit
+// builds — and a DC Newton iteration on the rebound kernel does zero
+// heap allocations.
+func TestWarmRebindIterationDoesNotAllocate(t *testing.T) {
+	k, err := NewKernel(parseDeck(t, batchVariant(t, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := &k.cc.mosElems[0]
+	next := parseDeck(t, batchVariant(t, 2))
+	if err := k.Bind(next); err != nil {
+		t.Fatal(err)
+	}
+	cc := k.cc
+	if &cc.mosElems[0] != views {
+		t.Fatal("Bind reallocated the MOS element views instead of refilling them")
+	}
+	cold, err := compile(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cc.mosElems) != len(cold.mosElems) {
+		t.Fatalf("rebound kernel has %d MOS views, cold compile %d", len(cc.mosElems), len(cold.mosElems))
+	}
+	for i := range cold.mosElems {
+		if cc.mosElems[i] != cold.mosElems[i] {
+			t.Fatalf("MOS view %d after Bind %+v, cold compile %+v", i, cc.mosElems[i], cold.mosElems[i])
+		}
+	}
+	if _, err := k.OP(DCOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	opts := DCOpts{}
+	opts.defaults()
+	x0 := make([]float64, cc.layout.Size)
+	sol, _, err := newton(cc, x0, opts.Gmin, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := cc.dcWS()
+	ws.prepare(cc, opts.Gmin, 1, 0)
+	copy(ws.x, sol)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ws.iterate(cc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rebound Newton iteration allocates %g objects, want 0", allocs)
+	}
+}
+
 // TestWarmKernelTranFromRejectsForeignOP: TranFrom must refuse an
 // operating point solved for another binding or another kernel — a
 // stale start state would silently leak one candidate into the next.
