@@ -169,7 +169,7 @@ func runTran(ckt *netlist.Circuit, span, out string) {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := sim.Tran(ckt, sim.TranOpts{TStep: step, TStop: stop})
+	res, err := sim.Tran(ckt, sim.TranOpts{TStep: step, TStop: stop, Probes: []string{out}})
 	if err != nil {
 		fatal(err)
 	}

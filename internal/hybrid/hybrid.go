@@ -313,10 +313,9 @@ func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (M
 		return m, err
 	}
 	window := sp.TSlew + sp.TSettle
-	tStop := mdac.StepDelay + 1.5*window
-	tStep := window / 400
+	tStop, tStep := st.SettleSpan()
 	tTran := time.Now()
-	tr, err := se.kern.TranFrom(op, sim.TranOpts{TStop: tStop, TStep: tStep})
+	tr, err := se.kern.TranFrom(op, sim.TranOpts{TStop: tStop, TStep: tStep, Probes: outProbe})
 	if err != nil {
 		return m, fmt.Errorf("hybrid: transient: %w", err)
 	}
@@ -329,6 +328,9 @@ func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (M
 	m.Settled = ok && settle <= window
 	return m, nil
 }
+
+// outProbe is the one node the settling check reads.
+var outProbe = []string{mdac.NodeOut}
 
 // bindHold points the warm kernel at hold: compiled on the first
 // evaluation, rebound after that. A hold circuit that no longer matches
@@ -462,9 +464,12 @@ func loopMetricsFrom(freqs []float64, vals []complex128) loopMet {
 
 func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }
 
-// SettleTime measures when the waveform last leaves the ±band around its
-// own final value, returning the elapsed time since t0. ok is false when
-// the waveform never stays inside the band.
+// SettleTime measures when the waveform last enters the ±band around its
+// own final value, returning the elapsed time since t0. The entry is
+// interpolated between the last sample outside the band and the next
+// one, where the deviation crosses the band edge it came from, so the
+// result does not snap to the sampling grid. ok is false when the
+// waveform never stays inside the band.
 func SettleTime(tr *sim.TranResult, node string, t0, band float64) (float64, bool, error) {
 	w, err := tr.Waveform(node)
 	if err != nil {
@@ -494,7 +499,13 @@ func SettleTime(tr *sim.TranResult, node string, t0, band float64) (float64, boo
 	if lastOutside >= len(w)-2 || dwell < 0.02*(tEnd-t0) {
 		return tEnd - t0, false, nil
 	}
-	return tr.T[lastOutside+1] - t0, true, nil
+	// The sample after lastOutside is inside the band, so the deviation
+	// crosses the edge on lastOutside's side between the two.
+	dOut, dIn := w[lastOutside]-final, w[lastOutside+1]-final
+	edge := math.Copysign(band, dOut)
+	frac := (dOut - edge) / (dOut - dIn)
+	tOut, tIn := tr.T[lastOutside], tr.T[lastOutside+1]
+	return tOut + frac*(tIn-tOut) - t0, true, nil
 }
 
 // CheckSpec converts raw metrics into a pass/fail audit against the block

@@ -153,21 +153,26 @@ func TestModeString(t *testing.T) {
 }
 
 func TestSettleTimeMeasurement(t *testing.T) {
-	// Synthetic waveform: steps at t=1, exponentially approaches 2.0.
-	tr := synthTran()
-	st, ok, err := SettleTime(tr, "out", 1.0, 0.02)
-	if err != nil {
-		t.Fatal(err)
+	// Synthetic waveform: steps at t=1, exponentially approaches 2.0, so
+	// exp(-t/0.5) < 0.02/1.0 → t > 0.5·ln50 ≈ 1.956. The crossing is
+	// interpolated between samples: on a 0.1 grid, snapping to the next
+	// sample would land up to 5 % late.
+	want := 0.5 * math.Log(50)
+	for _, dt := range []float64{0.01, 0.1} {
+		st, ok, err := SettleTime(synthTran(dt), "out", 1.0, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("grid %g: should settle", dt)
+		}
+		if math.Abs(st-want) > 0.005*want {
+			t.Fatalf("grid %g: settle time = %.5g, want %.5g within 0.5 %%", dt, st, want)
+		}
 	}
-	if !ok {
-		t.Fatal("should settle")
-	}
-	// exp(-t/0.5) < 0.02/1.0 → t > 0.5·ln50 ≈ 1.96.
-	if st < 1.5 || st > 2.5 {
-		t.Fatalf("settle time = %g, want ≈2", st)
-	}
+	tr := synthTran(0.01)
 	// Impossible band: never settles.
-	_, ok, err = SettleTime(tr, "out", 1.0, 1e-12)
+	_, ok, err := SettleTime(tr, "out", 1.0, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +184,12 @@ func TestSettleTimeMeasurement(t *testing.T) {
 	}
 }
 
-func synthTran() *sim.TranResult {
-	n := 500
+// synthTran samples the synthetic step response on [0, 5) every dt.
+func synthTran(dt float64) *sim.TranResult {
+	n := int(math.Round(5 / dt))
 	tr := &sim.TranResult{V: map[string][]float64{}}
 	for i := 0; i < n; i++ {
-		tt := float64(i) * 0.01
+		tt := float64(i) * dt
 		v := 1.0
 		if tt >= 1 {
 			v = 2 - math.Exp(-(tt-1)/0.5)

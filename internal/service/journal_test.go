@@ -126,8 +126,9 @@ func TestRecoverRequeuesQueuedAndRunning(t *testing.T) {
 // TestRecoverRejectsPreBumpKey: a job journaled before the last key
 // version bump (synth.KeyVersion) carries a content address the current
 // evaluator no longer mints. Recovery must not re-run it under that
-// address — a full-Newton-era key must never name a reuse-era result —
-// so it is finalized failed with a *RecoveryError and counted.
+// address — a window/400-era key must never name a result of the
+// predicted window/300 transient — so it is finalized failed with a
+// *RecoveryError and counted.
 func TestRecoverRejectsPreBumpKey(t *testing.T) {
 	dir := t.TempDir()
 	jn, err := OpenJournal(dir)
@@ -135,8 +136,8 @@ func TestRecoverRejectsPreBumpKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := tinyReq(10, 3)
-	// JobKey of tinyReq(10, 3) as minted before KeyVersion 2.
-	const preBump = "1ebc055595aeaa9d73cc44ea316d24eb3167beb124f983431fcaa68c0acb30d0"
+	// JobKey of tinyReq(10, 3) as minted under KeyVersion 2.
+	const preBump = "70040bc172b1039d5f459f759dfd9882d198123abcb14608670478fa35241c6f"
 	opts, err := req.Options()
 	if err != nil {
 		t.Fatal(err)

@@ -94,22 +94,7 @@ func BenchmarkNoiseTwoStageAmp(b *testing.B) {
 // oracle (factor every iteration). Compare against BenchmarkTranSettle
 // for what factorization reuse saves on the evaluator's transient leg.
 func BenchmarkTranSettleFullNewton(b *testing.B) {
-	proc := pdk.TSMC025()
-	specs, err := stagespec.Translate(stagespec.ADCSpec{Bits: 12, SampleRate: 40e6, VRef: 1}, enum.Config{3, 2, 2, 2, 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp := specs[1]
-	sz := opamp.InitialSizing(proc, opamp.BlockSpec{
-		GBW: sp.GBWMin, SR: sp.SRMin, CLoad: sp.CLoad, CFeed: sp.CFeed,
-		Gain: sp.GainMin, Swing: sp.SwingMin,
-	})
-	hold, err := mdac.Stage{Spec: sp, Sizing: sz, Process: proc}.HoldCircuit()
-	if err != nil {
-		b.Fatal(err)
-	}
-	window := sp.TSlew + sp.TSettle
-	opts := TranOpts{TStop: mdac.StepDelay + 1.5*window, TStep: window / 400}
+	hold, opts := settleRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cc, err := compile(hold)
@@ -121,4 +106,28 @@ func BenchmarkTranSettleFullNewton(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// settleRun is the evaluator's settling transient for the second MDAC
+// of a 12-bit 3-2-2-2-2 pipeline at its designer-equation sizing: the
+// hold circuit, and the span, grid and probe the evaluator runs it on.
+func settleRun(tb testing.TB) (*netlist.Circuit, TranOpts) {
+	tb.Helper()
+	proc := pdk.TSMC025()
+	specs, err := stagespec.Translate(stagespec.ADCSpec{Bits: 12, SampleRate: 40e6, VRef: 1}, enum.Config{3, 2, 2, 2, 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sp := specs[1]
+	sz := opamp.InitialSizing(proc, opamp.BlockSpec{
+		GBW: sp.GBWMin, SR: sp.SRMin, CLoad: sp.CLoad, CFeed: sp.CFeed,
+		Gain: sp.GainMin, Swing: sp.SwingMin,
+	})
+	st := mdac.Stage{Spec: sp, Sizing: sz, Process: proc}
+	hold, err := st.HoldCircuit()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tStop, tStep := st.SettleSpan()
+	return hold, TranOpts{TStop: tStop, TStep: tStep, Probes: []string{mdac.NodeOut}}
 }

@@ -34,6 +34,9 @@ type TranOpts struct {
 	// UseICs starts from the given node voltages instead of a DC solve.
 	UseICs bool
 	ICs    map[string]float64
+	// Probes names the nodes to record; empty records every node. A name
+	// that is neither a circuit node nor ground is an error.
+	Probes []string
 }
 
 // TranResult holds sampled waveforms.
@@ -139,6 +142,15 @@ type tranRun struct {
 	reuseCount int
 	lastPhase  int
 	lastH      float64
+
+	// Predictor history: the state the last accepted step started from,
+	// that step's width and phase, and whether it was trapezoidal. A
+	// trapezoidal step that follows one in its own phase starts Newton
+	// from the linear extrapolation of the last two accepted states.
+	xHist     []float64
+	hHist     float64
+	histPhase int
+	histTrap  bool
 }
 
 func newTranRun(cc *compiled, opts TranOpts, x0 []float64) *tranRun {
@@ -149,14 +161,15 @@ func newTranRun(cc *compiled, opts TranOpts, x0 []float64) *tranRun {
 			cc:    cc,
 			stepA: la.NewMatrix(n, n), stepB: make([]float64, n),
 			a: la.NewMatrix(n, n), b: make([]float64, n),
-			xNew: make([]float64, n),
-			r:    make([]float64, n), d: make([]float64, n),
+			xNew: make([]float64, n), xHist: make([]float64, n),
+			r: make([]float64, n), d: make([]float64, n),
 			lu: newKernelLU(cc),
 		}
 		cc.trun = tr
 	}
 	tr.opts = opts
 	tr.haveFactor, tr.reuseCount, tr.lastPhase, tr.lastH = false, 0, 0, 0
+	tr.histTrap = false
 	tr.lu.reset()
 	tr.caps = tr.caps[:0]
 	for _, ce := range cc.capElems {
@@ -170,6 +183,12 @@ func newTranRun(cc *compiled, opts TranOpts, x0 []float64) *tranRun {
 // step baseline — phase conductances, gmin shunts, capacitor companions,
 // sources at t — is assembled once; each Newton iteration copies it and
 // stamps only the MOS devices. The capacitor memory is not touched.
+//
+// A trapezoidal step whose predecessor was a trapezoidal step in the
+// same phase starts from the predicted state xFrom + (h/hPrev)·(xFrom −
+// xPrev); every other step, and the full-Newton rerun below, starts from
+// xFrom. The prediction only moves the first iterate: the converged
+// state must still pass the same step test.
 func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrator) error {
 	cc := tr.cc
 	l := cc.layout
@@ -197,7 +216,14 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 		addRHS(tr.stepB, st.n, -ieq)
 	}
 	stampSources(cc, tr.stepB, t)
-	copy(dst, xFrom)
+	if method == Trapezoidal && tr.histTrap && tr.histPhase == phase {
+		r := h / tr.hHist
+		for i, x := range xFrom {
+			dst[i] = x + r*(x-tr.xHist[i])
+		}
+	} else {
+		copy(dst, xFrom)
+	}
 	if phase != tr.lastPhase || math.Abs(h-tr.lastH) > 1e-9*h {
 		// Switch conductances or companion weights changed: any carried
 		// factorization is far from the new Jacobian. The width test is
@@ -334,9 +360,12 @@ func capResidual(r []float64, p, n int, c float64, x, xPrev []float64, h float64
 	addRHS(r, n, -i)
 }
 
-// commitCaps advances the capacitor companion memory to the accepted
-// state xNew.
-func (tr *tranRun) commitCaps(xNew []float64, h float64, method Integrator) {
+// commit accepts the step solveStep just solved from xFrom to xNew: it
+// records the predictor history (solveStep left the step's phase in
+// lastPhase) and advances the capacitor companion memory.
+func (tr *tranRun) commit(xFrom, xNew []float64, h float64, method Integrator) {
+	copy(tr.xHist, xFrom)
+	tr.hHist, tr.histPhase, tr.histTrap = h, tr.lastPhase, method == Trapezoidal
 	for ci := range tr.caps {
 		st := &tr.caps[ci]
 		vNew := nodeV(xNew, st.p) - nodeV(xNew, st.n)
@@ -356,7 +385,7 @@ func (tr *tranRun) commitCaps(xNew []float64, h float64, method Integrator) {
 func (tr *tranRun) advance(xFrom, dst []float64, tPrev, h float64, method Integrator, depth int) error {
 	err := tr.solveStep(dst, xFrom, tPrev+h, h, method)
 	if err == nil {
-		tr.commitCaps(dst, h, method)
+		tr.commit(xFrom, dst, h, method)
 		return nil
 	}
 	if depth >= 10 {
@@ -426,13 +455,7 @@ func tranCompiled(cc *compiled, opts TranOpts) (*TranResult, error) {
 func tranFromState(cc *compiled, x0 []float64, opts TranOpts) (*TranResult, error) {
 	l := cc.layout
 	n := l.Size
-	x := append([]float64(nil), x0...)
-
-	run := newTranRun(cc, opts, x)
-	defer run.lu.flush()
-
 	steps := int(math.Round(opts.TStop/opts.TStep)) + 1
-	res := &TranResult{T: make([]float64, 0, steps), V: map[string][]float64{}}
 	// Recorder slots pair each waveform with its MNA row so the per-step
 	// record loop never iterates a map; every slice (res.T included) is
 	// preallocated to exactly `steps` samples, so appends never grow.
@@ -441,10 +464,26 @@ func tranFromState(cc *compiled, x0 []float64, opts TranOpts) (*TranResult, erro
 		idx  int
 		w    []float64
 	}
-	slots := make([]recSlot, 0, len(l.NodeIndex))
-	for name, i := range l.NodeIndex {
+	names := opts.Probes
+	if len(names) == 0 {
+		names = l.Nodes
+	}
+	slots := make([]recSlot, 0, len(names))
+	for _, name := range names {
+		if isGround(name) {
+			continue // Waveform synthesizes ground
+		}
+		i, ok := l.NodeIndex[name]
+		if !ok {
+			return nil, fmt.Errorf("sim: transient probe %q is not a circuit node", name)
+		}
 		slots = append(slots, recSlot{name, i, make([]float64, 0, steps)})
 	}
+	res := &TranResult{T: make([]float64, 0, steps), V: make(map[string][]float64, len(slots))}
+
+	x := append([]float64(nil), x0...)
+	run := newTranRun(cc, opts, x)
+	defer run.lu.flush()
 	record := func(t float64, x []float64) {
 		res.T = append(res.T, t)
 		for si := range slots {

@@ -55,8 +55,10 @@ func (o Options) Canonical() Options {
 // changing any option — such as a new Newton policy in the simulator —
 // bumps it, and no disk cache, peer cache, or job journal serves an
 // older generation's result under an unchanged address. Version 2:
-// factorization-reuse Newton is the simulator's only policy.
-const KeyVersion = 2
+// factorization-reuse Newton is the simulator's only policy. Version 3:
+// the settling transient starts each trapezoidal step from a predicted
+// state, runs on window/300 steps, and interpolates the band crossing.
+const KeyVersion = 3
 
 // CacheKey computes the content address of a synthesis request: a
 // SHA-256 over KeyVersion, the block spec, the process name, and the

@@ -73,7 +73,7 @@ func TestCacheKeyStability(t *testing.T) {
 func TestCacheKeyGolden(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	opts := Options{Seed: 7, MaxEvals: 16, PatternIter: 8, Mode: hybrid.Hybrid}
-	const want = "4fd3d7b57c0341b216ffc0bc403e1286e9104e4fe7ccd6315e3c8631da1d47d9"
+	const want = "106a20d2386874ddec43f682c2140bd9091555ab646bed965134d799d6651c6b"
 	if got := CacheKey(spec, proc, opts); got != want {
 		t.Fatalf("CacheKey drifted: got %s, want %s (key version %d)", got, want, KeyVersion)
 	}

@@ -62,18 +62,15 @@ func BenchmarkOP(b *testing.B) {
 }
 
 // BenchmarkTranSettle is the transient leg: the worst-case residue step
-// over the same settling window the hybrid evaluator uses, on the
+// over the settling span and grid the hybrid evaluator runs
+// (mdac.Stage.SettleSpan), recording the one node it reads, on the
 // symbolic-factorization + modified-Newton (Shamanskii) solver path.
 // internal/sim's BenchmarkTranSettleFullNewton runs the same transient
 // on the full-Newton oracle.
 func BenchmarkTranSettle(b *testing.B) {
-	st := benchStage(b)
+	tStop, tStep := benchStage(b).SettleSpan()
 	hold := benchHold(b)
-	window := st.Spec.TSlew + st.Spec.TSettle
-	opts := sim.TranOpts{
-		TStop: mdac.StepDelay + 1.5*window,
-		TStep: window / 400,
-	}
+	opts := sim.TranOpts{TStop: tStop, TStep: tStep, Probes: []string{mdac.NodeOut}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Tran(hold, opts); err != nil {
