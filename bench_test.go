@@ -5,9 +5,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// The studies are memoized across benchmarks within one process so Fig. 2
-// and Fig. 3 reuse the Fig. 1 work, exactly as the paper's flow shares
-// MDAC syntheses across configurations.
+// The figure studies use package figure's settings, shared with
+// cmd/figgen, and are memoized across benchmarks within one process so
+// Fig. 2 and Fig. 3 reuse the Fig. 1 work, exactly as the paper's flow
+// shares MDAC syntheses across configurations.
 package pipesyn_test
 
 import (
@@ -21,6 +22,7 @@ import (
 
 	"pipesyn/internal/core"
 	"pipesyn/internal/enum"
+	"pipesyn/internal/figure"
 	"pipesyn/internal/hybrid"
 	"pipesyn/internal/opamp"
 	"pipesyn/internal/pdk"
@@ -30,43 +32,29 @@ import (
 	"pipesyn/internal/synth"
 )
 
-// benchBudget is the per-MDAC synthesis budget used by the figure
-// regeneration. Two restarts keep candidate ordering stable against
-// annealing noise at a few seconds per MDAC.
-func benchBudget(seed int64) synth.Options {
-	return synth.Options{Seed: seed, MaxEvals: 150, PatternIter: 80, Restarts: 2}
-}
-
-func benchOpts(bits int) core.Options {
-	return core.Options{
-		Bits: bits, SampleRate: 40e6, Mode: hybrid.Hybrid, Synth: benchBudget(7),
-	}
-}
-
 var (
-	studyOnce sync.Once
-	studies   map[int]*core.Study
-	studyErr  error
+	sweepOnce sync.Once
+	studies   []*core.Study
+	sweepErr  error
 )
 
-// allStudies runs the 10–13 bit sweep once per process.
-func allStudies(b *testing.B) map[int]*core.Study {
+// figureStudies runs the figure sweep (figure.Bits, 10–13 bits) once per
+// process. The 13-bit study is last.
+func figureStudies(b *testing.B) []*core.Study {
 	b.Helper()
-	studyOnce.Do(func() {
-		studies = map[int]*core.Study{}
-		for _, k := range []int{10, 11, 12, 13} {
-			st, err := core.Optimize(context.Background(), benchOpts(k))
-			if err != nil {
-				studyErr = err
-				return
-			}
-			studies[k] = st
-		}
+	sweepOnce.Do(func() {
+		studies, sweepErr = core.Sweep(context.Background(), figure.Bits, figure.Study(figure.Seed))
 	})
-	if studyErr != nil {
-		b.Fatal(studyErr)
+	if sweepErr != nil {
+		b.Fatal(sweepErr)
 	}
 	return studies
+}
+
+// study13 is the 13-bit figure study.
+func study13(b *testing.B) *core.Study {
+	all := figureStudies(b)
+	return all[len(all)-1]
 }
 
 func writeFigure(b *testing.B, name string, render func(f *os.File) error) {
@@ -89,7 +77,7 @@ func writeFigure(b *testing.B, name string, render func(f *os.File) error) {
 // candidate and the first-stage power spread across m₁ ∈ {2,3,4}.
 func BenchmarkFig1StagePower13Bit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		st := allStudies(b)[13]
+		st := study13(b)
 		writeFigure(b, "fig1_stage_power_13bit.txt", func(f *os.File) error {
 			if err := report.Fig1(f, st); err != nil {
 				return err
@@ -113,8 +101,7 @@ func BenchmarkFig1StagePower13Bit(b *testing.B) {
 // power per resolution.
 func BenchmarkFig2TotalPower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		all := allStudies(b)
-		ordered := []*core.Study{all[10], all[11], all[12], all[13]}
+		ordered := figureStudies(b)
 		writeFigure(b, "fig2_total_power.txt", func(f *os.File) error {
 			return report.Fig2(f, ordered)
 		})
@@ -129,9 +116,7 @@ func BenchmarkFig2TotalPower(b *testing.B) {
 // every optimum.
 func BenchmarkFig3Rules(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		all := allStudies(b)
-		ordered := []*core.Study{all[10], all[11], all[12], all[13]}
-		rules := core.DeriveRules(ordered)
+		rules := core.DeriveRules(figureStudies(b))
 		writeFigure(b, "fig3_rules.txt", func(f *os.File) error {
 			return report.Fig3(f, rules)
 		})
@@ -214,27 +199,8 @@ func BenchmarkOptimizeSerialVsParallel(b *testing.B) {
 // started retarget of a neighbouring spec reaches feasibility with far
 // fewer evaluator calls than the first (cold) synthesis.
 func BenchmarkRetargetColdVsWarm(b *testing.B) {
-	proc := pdk.TSMC025()
-	adc := stagespec.ADCSpec{Bits: 12, SampleRate: 40e6, VRef: 1}
-	specs, err := stagespec.Translate(adc, enum.Config{3, 2, 2, 2, 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := specs[1]
 	for i := 0; i < b.N; i++ {
-		cold, err := synth.Synthesize(context.Background(), spec, proc, synth.Options{
-			Seed: 21, MaxEvals: 150, PatternIter: 80, Mode: hybrid.Hybrid,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		retargeted := spec
-		retargeted.GBWMin *= 1.2
-		retargeted.SRMin *= 1.2
-		warm, err := synth.Synthesize(context.Background(), retargeted, proc, synth.Options{
-			Seed: 22, MaxEvals: 150, PatternIter: 80, Mode: hybrid.Hybrid,
-			WarmStart: cold.Sizing,
-		})
+		cold, warm, err := figure.Retarget(context.Background(), figure.Study(figure.Seed).Synth)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,9 +274,11 @@ func BenchmarkEvalHybridVsSimVsEq(b *testing.B) {
 // best synthesized 13-bit configuration run through the behavioral
 // converter with its synthesized static errors and kT/C noise.
 func BenchmarkBehavioralVerification(b *testing.B) {
-	st := allStudies(b)[13]
+	st := study13(b)
+	opts := figure.Study(figure.Seed)
+	opts.Bits = st.Bits
 	for i := 0; i < b.N; i++ {
-		m, err := core.BehavioralCheck(st, benchOpts(13), 4096)
+		m, err := core.BehavioralCheck(st, opts, 4096)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,8 +7,11 @@
 //	figgen -fig hybrid     evaluation-mode accuracy/speed comparison (§3)
 //	figgen -fig all        everything
 //
-// Use -csv to emit machine-readable data alongside the text rendering,
-// and -quick for a low-budget smoke run.
+// The studies use the settings of package figure, the same ones the root
+// figure benchmarks render figures/ with, so at the default seed the
+// Fig. 1–3 and retarget numbers match the committed files. Use -csv to
+// emit machine-readable data alongside the text rendering, and -quick for
+// a low-budget smoke run.
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 
 	"pipesyn/internal/core"
 	"pipesyn/internal/enum"
+	"pipesyn/internal/figure"
 	"pipesyn/internal/hybrid"
 	"pipesyn/internal/opamp"
 	"pipesyn/internal/pdk"
@@ -33,38 +37,39 @@ func main() {
 	fig := flag.String("fig", "all", "which figure: 1, 2, 3, retarget, hybrid, all")
 	quick := flag.Bool("quick", false, "small synthesis budgets (smoke run)")
 	csv := flag.Bool("csv", false, "emit CSV after each figure")
-	seed := flag.Int64("seed", 7, "random seed")
+	seed := flag.Int64("seed", figure.Seed, "random seed")
 	workers := flag.Int("workers", 0, "parallel synthesis workers (0 = all cores, 1 = serial)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed synthesis cache directory (empty = no cache)")
 	flag.Parse()
 
-	budget := synth.Options{Seed: *seed, MaxEvals: 180, PatternIter: 90, Restarts: 2}
+	g := &generator{base: figure.Study(*seed), csv: *csv}
+	bits := figure.Bits
 	if *quick {
-		budget = synth.Options{Seed: *seed, MaxEvals: 40, PatternIter: 20}
+		g.base.Synth = synth.Options{Seed: *seed, MaxEvals: 40, PatternIter: 20}
+		bits = []int{10, 13}
 	}
 	if *cacheDir != "" {
 		cache, err := synth.NewCache(0, *cacheDir)
 		if err != nil {
 			fatal(err)
 		}
-		budget.Cache = cache
+		g.base.Synth.Cache = cache
 	}
-	g := &generator{budget: budget, csv: *csv, quick: *quick, workers: *workers}
+	g.base.Workers = *workers
 
 	switch *fig {
 	case "1":
-		g.fig1()
-	case "2":
-		g.fig2and3(false)
-	case "3":
-		g.fig2and3(true)
+		g.fig1(g.sweep([]int{13})[0])
+	case "2", "3":
+		g.fig2and3(g.sweep(bits), *fig == "3")
 	case "retarget":
 		g.retarget()
 	case "hybrid":
 		g.hybridCompare()
 	case "all":
-		g.fig1()
-		g.fig2and3(true)
+		studies := g.sweep(bits)
+		g.fig1(studies[len(studies)-1])
+		g.fig2and3(studies, true)
 		g.retarget()
 		g.hybridCompare()
 	default:
@@ -73,42 +78,29 @@ func main() {
 }
 
 type generator struct {
-	budget  synth.Options
-	csv     bool
-	quick   bool
-	workers int
-
-	study13 *core.Study // cached across figures
+	base core.Options // figure study options; core.Sweep sets Bits
+	csv  bool
 }
 
-func (g *generator) opts(bits int) core.Options {
-	return core.Options{
-		Bits: bits, SampleRate: 40e6, Mode: hybrid.Hybrid, Synth: g.budget,
-		Workers: g.workers,
-	}
-}
-
-func (g *generator) run13() *core.Study {
-	if g.study13 == nil {
-		st, err := core.Optimize(context.Background(), g.opts(13))
-		if err != nil {
-			fatal(err)
-		}
-		g.study13 = st
-	}
-	return g.study13
-}
-
-func (g *generator) fig1() {
+// sweep runs the figure studies for bits under one shared worker budget.
+func (g *generator) sweep(bits []int) []*core.Study {
 	t0 := time.Now()
-	st := g.run13()
+	studies, err := core.Sweep(context.Background(), bits, g.base)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("(studies for %v bits run in %s)\n\n", bits, time.Since(t0).Round(time.Millisecond))
+	return studies
+}
+
+func (g *generator) fig1(st *core.Study) {
 	if err := report.Fig1(os.Stdout, st); err != nil {
 		fatal(err)
 	}
 	if err := report.MDACTable(os.Stdout, st); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("(generated in %s)\n\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Println()
 	if g.csv {
 		t := figure1CSV(st)
 		if err := t.CSV(os.Stdout); err != nil {
@@ -129,24 +121,7 @@ func figure1CSV(st *core.Study) *report.Table {
 	return t
 }
 
-func (g *generator) fig2and3(withRules bool) {
-	t0 := time.Now()
-	bits := []int{10, 11, 12, 13}
-	if g.quick {
-		bits = []int{10, 13}
-	}
-	var studies []*core.Study
-	for _, k := range bits {
-		if k == 13 {
-			studies = append(studies, g.run13())
-			continue
-		}
-		st, err := core.Optimize(context.Background(), g.opts(k))
-		if err != nil {
-			fatal(err)
-		}
-		studies = append(studies, st)
-	}
+func (g *generator) fig2and3(studies []*core.Study, withRules bool) {
 	if err := report.Fig2(os.Stdout, studies); err != nil {
 		fatal(err)
 	}
@@ -156,7 +131,7 @@ func (g *generator) fig2and3(withRules bool) {
 			fatal(err)
 		}
 	}
-	fmt.Printf("(generated in %s)\n\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Println()
 	if g.csv {
 		t := &report.Table{Header: []string{"bits", "config", "total_w", "feasible"}}
 		for _, st := range studies {
@@ -175,27 +150,7 @@ func (g *generator) fig2and3(withRules bool) {
 // synthesis is expensive, retargeting to a neighbouring spec is cheap.
 func (g *generator) retarget() {
 	t0 := time.Now()
-	proc := pdk.TSMC025()
-	adc := stagespec.ADCSpec{Bits: 12, SampleRate: 40e6, VRef: 1}
-	specs, err := stagespec.Translate(adc, enum.Config{3, 2, 2, 2, 2})
-	if err != nil {
-		fatal(err)
-	}
-	spec := specs[1]
-	cold, err := synth.Synthesize(context.Background(), spec, proc, synth.Options{
-		Seed: 21, MaxEvals: g.budget.MaxEvals, PatternIter: g.budget.PatternIter, Mode: hybrid.Hybrid,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	// Retarget: 20% faster sampling for the same stage.
-	spec2 := spec
-	spec2.GBWMin *= 1.2
-	spec2.SRMin *= 1.2
-	warm, err := synth.Synthesize(context.Background(), spec2, proc, synth.Options{
-		Seed: 22, MaxEvals: g.budget.MaxEvals, PatternIter: g.budget.PatternIter,
-		Mode: hybrid.Hybrid, WarmStart: cold.Sizing,
-	})
+	cold, warm, err := figure.Retarget(context.Background(), g.base.Synth)
 	if err != nil {
 		fatal(err)
 	}

@@ -290,7 +290,7 @@ func StudyKey(opts Options) string {
 	kf := keyFields{synth.KeyVersion, opts.Bits, opts.SampleRate, opts.VRef, opts.Process.Name, int(opts.Mode),
 		opts.Constraints, opts.Retarget, opts.IncludeSHA,
 		s.Seed, s.MaxEvals, s.PatternIter, s.Restarts,
-		s.InitTemp, s.CoolRate, s.PenaltyW, int(s.Topology),
+		synth.InitTemp, synth.CoolRate, synth.PenaltyW, int(s.Topology),
 		s.Surrogate, false, 0, 0}
 	if opts.Race {
 		kf.Race = true

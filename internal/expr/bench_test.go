@@ -96,11 +96,3 @@ func BenchmarkEvalCInto(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDiff(b *testing.B) {
-	tf := ladderTF(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tf.Diff("ga")
-	}
-}

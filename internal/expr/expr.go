@@ -15,8 +15,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"pipesyn/internal/poly"
 )
 
 // Expr is an immutable symbolic expression.
@@ -174,48 +172,6 @@ func Pow(base Expr, n int) Expr {
 	return Expr{kind: kPow, base: &b, expnt: n}
 }
 
-// Eval evaluates e with variables bound by env. Unbound variables are an
-// error (circuit algebra must never silently default a parameter).
-func (e Expr) Eval(env map[string]float64) (float64, error) {
-	switch e.kind {
-	case kConst:
-		return e.val, nil
-	case kVar:
-		v, ok := env[e.name]
-		if !ok {
-			return 0, fmt.Errorf("expr: unbound variable %q", e.name)
-		}
-		return v, nil
-	case kAdd:
-		s := 0.0
-		for _, a := range e.args {
-			v, err := a.Eval(env)
-			if err != nil {
-				return 0, err
-			}
-			s += v
-		}
-		return s, nil
-	case kMul:
-		p := 1.0
-		for _, a := range e.args {
-			v, err := a.Eval(env)
-			if err != nil {
-				return 0, err
-			}
-			p *= v
-		}
-		return p, nil
-	case kPow:
-		b, err := e.base.Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		return math.Pow(b, float64(e.expnt)), nil
-	}
-	panic("expr: unknown kind")
-}
-
 // EvalC evaluates e over the complex numbers; used to evaluate transfer
 // functions at s = jω without converting to a rational function first.
 func (e Expr) EvalC(env map[string]complex128) (complex128, error) {
@@ -295,45 +251,6 @@ func (e Expr) collectVars(set map[string]bool) {
 	}
 }
 
-// Diff returns ∂e/∂name using standard rules; used for symbolic
-// sensitivity analysis of transfer-function coefficients.
-func (e Expr) Diff(name string) Expr {
-	switch e.kind {
-	case kConst:
-		return Zero
-	case kVar:
-		if e.name == name {
-			return One
-		}
-		return Zero
-	case kAdd:
-		terms := make([]Expr, 0, len(e.args))
-		for _, a := range e.args {
-			terms = append(terms, a.Diff(name))
-		}
-		return Add(terms...)
-	case kMul:
-		// Product rule over n factors.
-		var terms []Expr
-		for i := range e.args {
-			factors := make([]Expr, 0, len(e.args))
-			for j, a := range e.args {
-				if i == j {
-					factors = append(factors, a.Diff(name))
-				} else {
-					factors = append(factors, a)
-				}
-			}
-			terms = append(terms, Mul(factors...))
-		}
-		return Add(terms...)
-	case kPow:
-		// d(b^n) = n·b^(n-1)·db
-		return Mul(C(float64(e.expnt)), Pow(*e.base, e.expnt-1), e.base.Diff(name))
-	}
-	panic("expr: unknown kind")
-}
-
 // String renders the expression with infix notation.
 func (e Expr) String() string {
 	switch e.kind {
@@ -355,72 +272,6 @@ func (e Expr) String() string {
 		return strings.Join(parts, "*")
 	case kPow:
 		return fmt.Sprintf("%s^%d", e.base.String(), e.expnt)
-	}
-	panic("expr: unknown kind")
-}
-
-// ToRat interprets e as a rational function in the variable sName (usually
-// "s"), with every other variable bound numerically by env. This is the
-// bridge from the symbolic Mason transfer function to the numeric Rat used
-// for pole/zero and Bode extraction.
-func (e Expr) ToRat(sName string, env map[string]float64) (poly.Rat, error) {
-	return e.toRat(sName, env, poly.RatVar())
-}
-
-func (e Expr) toRat(sName string, env map[string]float64, sVal poly.Rat) (poly.Rat, error) {
-	switch e.kind {
-	case kConst:
-		return poly.RatConst(e.val), nil
-	case kVar:
-		if e.name == sName {
-			return sVal, nil
-		}
-		v, ok := env[e.name]
-		if !ok {
-			return poly.Rat{}, fmt.Errorf("expr: unbound variable %q", e.name)
-		}
-		return poly.RatConst(v), nil
-	case kAdd:
-		acc := poly.RatConst(0)
-		for _, a := range e.args {
-			r, err := a.toRat(sName, env, sVal)
-			if err != nil {
-				return poly.Rat{}, err
-			}
-			acc = acc.Add(r)
-		}
-		return acc, nil
-	case kMul:
-		acc := poly.RatConst(1)
-		for _, a := range e.args {
-			r, err := a.toRat(sName, env, sVal)
-			if err != nil {
-				return poly.Rat{}, err
-			}
-			acc = acc.Mul(r)
-		}
-		return acc, nil
-	case kPow:
-		b, err := e.base.toRat(sName, env, sVal)
-		if err != nil {
-			return poly.Rat{}, err
-		}
-		n := e.expnt
-		inv := n < 0
-		if inv {
-			n = -n
-		}
-		acc := poly.RatConst(1)
-		for i := 0; i < n; i++ {
-			acc = acc.Mul(b)
-		}
-		if inv {
-			if acc.Num.IsZero() {
-				return poly.Rat{}, fmt.Errorf("expr: inverse of zero in %s", e.String())
-			}
-			acc = poly.RatConst(1).Div(acc)
-		}
-		return acc, nil
 	}
 	panic("expr: unknown kind")
 }

@@ -2,18 +2,22 @@ package expr
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
+// evalOK evaluates e through EvalC with every variable bound to a real
+// value and returns the real part.
 func evalOK(t *testing.T, e Expr, env map[string]float64) float64 {
 	t.Helper()
-	v, err := e.Eval(env)
-	if err != nil {
-		t.Fatalf("Eval(%s): %v", e, err)
+	cenv := make(map[string]complex128, len(env))
+	for k, v := range env {
+		cenv[k] = complex(v, 0)
 	}
-	return v
+	v, err := e.EvalC(cenv)
+	if err != nil {
+		t.Fatalf("EvalC(%s): %v", e, err)
+	}
+	return real(v)
 }
 
 func TestConstFolding(t *testing.T) {
@@ -58,10 +62,10 @@ func TestFlattening(t *testing.T) {
 }
 
 func TestEvalUnbound(t *testing.T) {
-	if _, err := V("missing").Eval(map[string]float64{}); err == nil {
+	if _, err := V("missing").EvalC(map[string]complex128{}); err == nil {
 		t.Fatal("expected unbound-variable error")
 	}
-	if _, err := Add(V("x"), V("missing")).Eval(map[string]float64{"x": 1}); err == nil {
+	if _, err := Add(V("x"), V("missing")).EvalC(map[string]complex128{"x": 1}); err == nil {
 		t.Fatal("expected unbound-variable error in sum")
 	}
 }
@@ -107,62 +111,6 @@ func TestVars(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	// d/dx (x² + 3x + 5) = 2x + 3
-	x := V("x")
-	e := Add(Pow(x, 2), Mul(C(3), x), C(5))
-	d := e.Diff("x")
-	for _, xv := range []float64{-2, 0, 1.5, 10} {
-		got := evalOK(t, d, map[string]float64{"x": xv})
-		want := 2*xv + 3
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("d(x²+3x+5)(%g) = %g, want %g", xv, got, want)
-		}
-	}
-	// Product rule: d/dx (x·y) = y.
-	p := Mul(x, V("y")).Diff("x")
-	got := evalOK(t, p, map[string]float64{"x": 7, "y": 3})
-	if got != 3 {
-		t.Fatalf("d(xy)/dx = %g, want 3", got)
-	}
-	// Quotient: d/dx (1/x) = -1/x².
-	q := Div(C(1), x).Diff("x")
-	got = evalOK(t, q, map[string]float64{"x": 2})
-	if math.Abs(got+0.25) > 1e-12 {
-		t.Fatalf("d(1/x)/dx at 2 = %g, want -0.25", got)
-	}
-}
-
-// Property: Diff agrees with a central finite difference for a random
-// polynomial-ish expression.
-func TestDiffNumericProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		x := V("x")
-		e := Add(
-			Mul(C(r.Float64()*4-2), Pow(x, 3)),
-			Mul(C(r.Float64()*4-2), Pow(x, 2)),
-			Mul(C(r.Float64()*4-2), x),
-			C(r.Float64()),
-		)
-		d := e.Diff("x")
-		x0 := r.Float64()*4 - 2
-		h := 1e-5
-		fp, _ := e.Eval(map[string]float64{"x": x0 + h})
-		fm, _ := e.Eval(map[string]float64{"x": x0 - h})
-		numeric := (fp - fm) / (2 * h)
-		symbolic, err := d.Eval(map[string]float64{"x": x0})
-		if err != nil {
-			return false
-		}
-		return math.Abs(numeric-symbolic) < 1e-4*(1+math.Abs(symbolic))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEvalC(t *testing.T) {
 	// H = 1/(1 + s·RC) at s = j/RC has |H| = 1/√2.
 	s := V("s")
@@ -175,57 +123,6 @@ func TestEvalC(t *testing.T) {
 	mag := math.Hypot(real(v), imag(v))
 	if math.Abs(mag-1/math.Sqrt2) > 1e-12 {
 		t.Fatalf("|H| = %g, want %g", mag, 1/math.Sqrt2)
-	}
-}
-
-func TestToRat(t *testing.T) {
-	// H = gm/(gm + s·C) → single pole at -gm/C, DC gain 1.
-	s := V("s")
-	h := Div(V("gm"), Add(V("gm"), Mul(s, V("C"))))
-	env := map[string]float64{"gm": 1e-3, "C": 1e-12}
-	r, err := h.ToRat("s", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := r.DCGain(); math.Abs(g-1) > 1e-9 {
-		t.Fatalf("DCGain = %g, want 1", g)
-	}
-	poles := r.Poles()
-	if len(poles) != 1 {
-		t.Fatalf("poles = %v", poles)
-	}
-	wantPole := -1e-3 / 1e-12
-	if math.Abs(real(poles[0])-wantPole) > math.Abs(wantPole)*1e-6 {
-		t.Fatalf("pole = %v, want %g", poles[0], wantPole)
-	}
-}
-
-// Property: ToRat and EvalC agree at random jω points.
-func TestToRatMatchesEvalCProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := V("s")
-		a, b, c := r.Float64()+0.5, r.Float64()+0.5, r.Float64()+0.5
-		// H = (a + b·s)/(c + s + s²)
-		h := Div(Add(C(a), Mul(C(b), s)), Add(C(c), s, Pow(s, 2)))
-		env := map[string]float64{}
-		rat, err := h.ToRat("s", env)
-		if err != nil {
-			return false
-		}
-		w := r.Float64()*10 + 0.1
-		sv := complex(0, w)
-		direct, err := h.EvalC(map[string]complex128{"s": sv})
-		if err != nil {
-			return false
-		}
-		viaRat := rat.Eval(sv)
-		diff := direct - viaRat
-		return math.Hypot(real(diff), imag(diff)) < 1e-9*(1+math.Hypot(real(direct), imag(direct)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,7 +4,7 @@
 // and a trapezoidal transient analysis with two-phase clocked switches for
 // switched-capacitor circuits. It is the "simulation side" of the paper's
 // hybrid evaluation flow; the "equation side" lives in internal/dpi and
-// internal/poly.
+// internal/expr.
 package sim
 
 import (

@@ -83,7 +83,7 @@ func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 		Surrogate                    bool
 	}
 	kf := keyFields{KeyVersion, spec, procName, opts.Seed, opts.MaxEvals, opts.PatternIter,
-		opts.Restarts, opts.InitTemp, opts.CoolRate, opts.PenaltyW,
+		opts.Restarts, InitTemp, CoolRate, PenaltyW,
 		int(opts.Mode), int(opts.Topology), opts.Surrogate}
 	blob, err := json.Marshal(kf)
 	if err != nil {

@@ -34,10 +34,9 @@ func TestCacheKeyStability(t *testing.T) {
 	}
 	// Zero options normalize to their defaults, so explicit defaults
 	// share the address with implied ones.
-	implied := Options{Seed: 7, MaxEvals: 100, PatternIter: 50, Mode: hybrid.Hybrid}
-	implied.InitTemp = 0
+	implied := Options{Seed: 7, MaxEvals: 100, Mode: hybrid.Hybrid}
 	explicit := implied
-	explicit.InitTemp = 2 // the documented default
+	explicit.PatternIter = 120 // the documented default
 	if CacheKey(spec, proc, implied) != CacheKey(spec, proc, explicit) {
 		t.Fatal("default normalization failed")
 	}

@@ -29,7 +29,7 @@ func TestPatternSearchPreservesTelescopic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := newEvaluator(spec, proc, hybrid.EquationOnly, 10, nil, nil)
+	ev := newEvaluator(spec, proc, hybrid.EquationOnly, nil, nil)
 	start := ev.score(context.Background(), seed)
 	if start.err != nil {
 		t.Fatalf("telescopic seed failed to evaluate: %v", start.err)

@@ -27,13 +27,19 @@ import (
 	"pipesyn/internal/stagespec"
 )
 
+// The annealing schedule and the constraint penalty. CacheKey and
+// core.StudyKey hash all three, so changing one moves every content
+// address.
+const (
+	InitTemp = 2.0  // initial annealing temperature (a tenth when warm-started)
+	CoolRate = 0.98 // geometric cooling per move
+	PenaltyW = 10.0 // constraint penalty weight
+)
+
 // Options tunes the optimizer.
 type Options struct {
 	Seed        int64
-	MaxEvals    int     // annealing evaluation budget (default 400)
-	InitTemp    float64 // initial annealing temperature (default 2)
-	CoolRate    float64 // geometric cooling per move (default 0.98)
-	PenaltyW    float64 // constraint penalty weight (default 10)
+	MaxEvals    int // annealing evaluation budget (default 400)
 	Mode        hybrid.Mode
 	Topology    opamp.Topology // amplifier cell class (default Miller)
 	WarmStart   opamp.Amp      // retargeting seed; nil = equation start
@@ -96,15 +102,6 @@ func (o *Options) defaults() {
 	if o.MaxEvals == 0 {
 		o.MaxEvals = 400
 	}
-	if o.InitTemp == 0 {
-		o.InitTemp = 2
-	}
-	if o.CoolRate == 0 {
-		o.CoolRate = 0.98
-	}
-	if o.PenaltyW == 0 {
-		o.PenaltyW = 10
-	}
 	if o.PatternIter == 0 {
 		o.PatternIter = 120
 	}
@@ -121,7 +118,6 @@ func (o *Options) defaults() {
 		if o.MaxEvals < 1 {
 			o.MaxEvals = 1
 		}
-		o.InitTemp /= 10
 	}
 }
 
@@ -276,7 +272,7 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 	if err != nil {
 		return nil, 0, err
 	}
-	ev := newEvaluator(spec, proc, opts.Mode, opts.PenaltyW, opts.EvalHook, opts.Progress)
+	ev := newEvaluator(spec, proc, opts.Mode, opts.EvalHook, opts.Progress)
 	best := ev.score(ctx, eqSeed)
 	if opts.WarmStart != nil {
 		// Retargeting: start from the better of the two seeds. A warm
@@ -308,8 +304,12 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 
 	// Simulated annealing over log-space perturbations. The context is
 	// the abort signal: it is checked once per move, so a cancelled study
-	// stops after the candidate in flight.
-	temp := opts.InitTemp
+	// stops after the candidate in flight. A warm start is near-feasible,
+	// so it anneals from a tenth of the cold temperature.
+	temp := InitTemp
+	if opts.WarmStart != nil {
+		temp /= 10
+	}
 	fold := func(sc scored) bool {
 		accepted := false
 		if sc.err == nil {
@@ -327,7 +327,7 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 				}
 			}
 		}
-		temp *= opts.CoolRate
+		temp *= CoolRate
 		return accepted
 	}
 	moves := 0
@@ -398,15 +398,14 @@ type evaluator struct {
 	spec     stagespec.MDACSpec
 	proc     *pdk.Process
 	se       *hybrid.StageEvaluator
-	penaltyW float64
 	evals    int
 	hook     func(ctx context.Context, eval int) error
 	progress func(p Progress)
 }
 
-func newEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode hybrid.Mode, penaltyW float64, hook func(context.Context, int) error, progress func(Progress)) *evaluator {
+func newEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode hybrid.Mode, hook func(context.Context, int) error, progress func(Progress)) *evaluator {
 	return &evaluator{
-		spec: spec, proc: proc, penaltyW: penaltyW,
+		spec: spec, proc: proc,
 		se:       hybrid.NewStageEvaluator(spec, proc, mode),
 		hook:     hook,
 		progress: progress,
@@ -438,7 +437,7 @@ func (ev *evaluator) score(ctx context.Context, s opamp.Amp) scored {
 	// Normalize power against a spec-scale reference so the penalty
 	// weight is meaningful across stages.
 	pRef := ev.proc.VDD * 1e-3 // 1 mA scale
-	out.cost = m.Power/pRef + ev.penaltyW*out.report.Violations
+	out.cost = m.Power/pRef + PenaltyW*out.report.Violations
 	return out
 }
 

@@ -51,7 +51,7 @@ func TestSynthesizeReducesPower(t *testing.T) {
 		GBW: spec.GBWMin, SR: spec.SRMin, CLoad: spec.CLoad,
 		CFeed: spec.CFeed, Gain: spec.GainMin, Swing: spec.SwingMin,
 	})
-	ev := newEvaluator(spec, proc, hybrid.Hybrid, 10, nil, nil)
+	ev := newEvaluator(spec, proc, hybrid.Hybrid, nil, nil)
 	start := ev.score(context.Background(), s0)
 	res, err := Synthesize(context.Background(), spec, proc, Options{
 		Seed: 3, MaxEvals: 150, PatternIter: 80, Mode: hybrid.Hybrid,
@@ -235,12 +235,12 @@ func TestEquationModeSynthesisIsCheap(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	o.defaults()
-	if o.MaxEvals != 400 || o.InitTemp != 2 || o.PatternIter != 120 {
+	if o.MaxEvals != 400 || o.PatternIter != 120 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	warm := Options{WarmStart: opamp.MillerSizing{}}
 	warm.defaults()
-	if warm.MaxEvals >= 400 || warm.InitTemp >= 2 {
+	if warm.MaxEvals >= 400 {
 		t.Fatalf("warm-start defaults must shrink the schedule: %+v", warm)
 	}
 }
