@@ -36,21 +36,23 @@ yield-smoke:
 # sparse, and ordered), the compiled transfer-function evaluator, the
 # sim analyses (with the full-Newton oracle's settle transient), the
 # warm hybrid evaluator, and the end-to-end MDAC
-# operating-point/settling/AC/full-study benchmarks, recorded as go-test
-# JSON events in BENCH_kernels.json for before/after comparison. The
+# operating-point/settling/AC/full-study benchmarks, five samples each
+# (-count 5, so benchdiff can compare medians), recorded as go-test JSON
+# events in BENCH_kernels.json for before/after comparison. The
 # benchfilter pipe strips run-volatile fields (timestamps, elapsed
-# seconds, iteration counts) so the committed snapshot diffs cleanly.
+# seconds, iteration counts) so the committed snapshot diffs cleanly;
+# the last step prints each benchmark's median.
 bench:
-	$(GO) test -json -bench=. -benchmem -run='^$$' \
+	$(GO) test -json -bench=. -benchmem -run='^$$' -count 5 \
 		./internal/la ./internal/expr ./internal/sim ./internal/hybrid \
 		| ./scripts/benchfilter.sh > BENCH_kernels.json
-	$(GO) test -json -bench='^Benchmark(OP|TranSettle|ACSweep|Study13b|Study13bRacing)$$' -benchmem -run='^$$' . \
+	$(GO) test -json -bench='^Benchmark(OP|TranSettle|ACSweep|Study13b|Study13bRacing)$$' -benchmem -run='^$$' -count 5 . \
 		| ./scripts/benchfilter.sh >> BENCH_kernels.json
-	@grep -F 'ns/op' BENCH_kernels.json \
-		| sed -E 's/.*"Test":"([^"]*)".*"Output":"(\1)? *([^"]*)\\n"\}/\1\t\3/; s/\\t/   /g'
+	@./scripts/benchmedians.sh BENCH_kernels.json
 
-# Advisory perf gate: rerun the benchmark set and compare against the
-# committed BENCH_kernels.json, warning on >10% ns/op regressions.
+# Advisory perf gate: rerun the benchmark set (-count 5) and compare each
+# benchmark's median against the committed BENCH_kernels.json median,
+# warning on >10% ns/op regressions.
 # Always exits 0 (shared CI boxes are noisy); BENCHDIFF_STRICT=1 makes
 # regressions fatal for local use.
 benchdiff:

@@ -99,8 +99,9 @@ lane_bench_check() {
 }
 
 # Advisory perf diff against the committed BENCH_kernels.json snapshot:
-# prints >10% ns/op regressions but never fails the gate (shared CI boxes
-# are noisy; BENCHDIFF_STRICT=1 makes it fatal locally).
+# prints >10% regressions of each benchmark's median ns/op over five 1x
+# samples but never fails the gate (shared CI boxes are noisy;
+# BENCHDIFF_STRICT=1 makes it fatal locally).
 lane_benchdiff() {
     BENCHDIFF_BENCHTIME=1x ./scripts/benchdiff.sh || true
 }

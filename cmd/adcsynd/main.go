@@ -149,7 +149,6 @@ func main() {
 		Retain:      *retain,
 		RetainAge:   *retainAge,
 		NodeID:      *nodeURL,
-		Lease:       *lease,
 	})
 	if journal != nil {
 		stats, err := man.Recover()

@@ -62,7 +62,7 @@ func newTestCluster(t *testing.T, n int, lease, heartbeat time.Duration) []*test
 		tn.cache = cache
 		tn.man = service.NewManager(service.Config{
 			Workers: 2, QueueCap: 8, Cache: cache,
-			NodeID: urls[i], Lease: lease,
+			NodeID: urls[i],
 			EvalHook: func(ctx context.Context, eval int) error {
 				tn.evals.Add(1)
 				if tn.stall.Load() {

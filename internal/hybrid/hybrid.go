@@ -109,15 +109,6 @@ func NewStageEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode Mode) *S
 	return &StageEvaluator{Spec: spec, Process: proc, Mode: mode}
 }
 
-// Evaluate scores a candidate stage under the given mode. For repeated
-// evaluations of the same spec (synthesis inner loop), prefer a shared
-// StageEvaluator, which caches the symbolic transfer function and keeps
-// the simulation kernel warm.
-func Evaluate(ctx context.Context, st mdac.Stage, mode Mode) (Metrics, error) {
-	se := NewStageEvaluator(st.Spec, st.Process, mode)
-	return se.Evaluate(ctx, st.Sizing)
-}
-
 // Evaluate scores one sizing candidate. The result does not depend on
 // which candidates the evaluator scored before: the warm kernel is
 // rebound per candidate, and a candidate of another amplifier topology

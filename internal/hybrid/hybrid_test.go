@@ -34,7 +34,7 @@ func relaxedStage(t testing.TB) mdac.Stage {
 
 func TestHybridEvaluation(t *testing.T) {
 	st := relaxedStage(t)
-	m, err := Evaluate(context.Background(), st, Hybrid)
+	m, err := NewStageEvaluator(st.Spec, st.Process, Hybrid).Evaluate(context.Background(), st.Sizing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestHybridEvaluation(t *testing.T) {
 // small-signal reality.
 func TestHybridMatchesSimOnly(t *testing.T) {
 	st := relaxedStage(t)
-	hy, err := Evaluate(context.Background(), st, Hybrid)
+	hy, err := NewStageEvaluator(st.Spec, st.Process, Hybrid).Evaluate(context.Background(), st.Sizing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := Evaluate(context.Background(), st, SimOnly)
+	so, err := NewStageEvaluator(st.Spec, st.Process, SimOnly).Evaluate(context.Background(), st.Sizing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestHybridMatchesSimOnly(t *testing.T) {
 // crossover for a near-textbook sizing.
 func TestEquationOnlyBallpark(t *testing.T) {
 	st := relaxedStage(t)
-	eq, err := Evaluate(context.Background(), st, EquationOnly)
+	eq, err := NewStageEvaluator(st.Spec, st.Process, EquationOnly).Evaluate(context.Background(), st.Sizing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := Evaluate(context.Background(), st, Hybrid)
+	hy, err := NewStageEvaluator(st.Spec, st.Process, Hybrid).Evaluate(context.Background(), st.Sizing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,8 @@ func TestModeString(t *testing.T) {
 	if Hybrid.String() != "hybrid" || EquationOnly.String() != "equation" || SimOnly.String() != "simulation" {
 		t.Fatal("mode strings")
 	}
-	if _, err := Evaluate(context.Background(), relaxedStage(t), Mode(99)); err == nil {
+	st := relaxedStage(t)
+	if _, err := NewStageEvaluator(st.Spec, st.Process, Mode(99)).Evaluate(context.Background(), st.Sizing); err == nil {
 		t.Fatal("expected unknown-mode error")
 	}
 }

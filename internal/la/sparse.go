@@ -13,8 +13,9 @@
 //     the fill over every pivot sequence the numeric values could select
 //     (the merge closure below). Because the skipped updates are
 //     provably zero on both sides, NumericFactor/SolveInto produce
-//     results bit-identical to LU.FactorInto/SolveInto — the property
-//     the simulator's determinism contract depends on.
+//     results bit-identical to the dense LU — the property the
+//     simulator's determinism contract depends on. One kernel, pivotLU,
+//     serves both scalar types: SparseLU (real) and CSparseLU (complex).
 //
 //   - AnalyzeOrdered: picks a static Markowitz pivot order on the
 //     pattern (KLU-style), records the exact fill for that order, and
@@ -22,6 +23,7 @@
 //     elimination order means results agree with the dense path only to
 //     round-off, and a numerically degraded pivot aborts with
 //     ErrZeroPivot so the caller can fall back to partial pivoting.
+//     Only SparseLU offers it.
 package la
 
 import (
@@ -29,6 +31,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/cmplx"
+	"slices"
 )
 
 // ErrZeroPivot is returned by the static-order (AnalyzeOrdered) numeric
@@ -233,13 +237,6 @@ func (s *Symbolic) initMulIdx() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // AnalyzeOrdered picks a static pivot order by Markowitz cost on the
 // pattern — at each step the structural entry (r,c) minimizing
 // (nnz(row r)−1)·(nnz(col c)−1), ties broken by lowest row then column —
@@ -387,12 +384,12 @@ func AnalyzeOrdered(p *Pattern) (*Symbolic, error) {
 		for i, c := range u {
 			u[i] = posOfCol[c]
 		}
-		sortInt32(u)
+		slices.Sort(u)
 		lr := lrows[k]
 		for i, r := range lr {
 			lr[i] = posOfRow[r]
 		}
-		sortInt32(lr)
+		slices.Sort(lr)
 		for _, i := range lr {
 			lpat[i] = append(lpat[i], int32(k))
 		}
@@ -445,14 +442,6 @@ func flattenCSR(rows [][]int32) (ptr, idx []int32) {
 	return ptr, idx
 }
 
-func sortInt32(v []int32) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // permParity returns +1 for even permutations, -1 for odd.
 func permParity(p []int32) int {
 	seen := make([]bool, len(p))
@@ -473,32 +462,29 @@ func permParity(p []int32) int {
 	return sign
 }
 
-// SparseLU is a numeric factorization workspace bound to a Symbolic
-// analysis. NumericFactor refactors in place with zero heap allocation;
-// one SparseLU per solver loop, reused across iterations, is the
-// intended usage. Not safe for concurrent use (share the Symbolic, not
-// the workspace).
-type SparseLU struct {
+// pivotLU is the partial-pivot numeric factorization of an Analyze
+// analysis, written once over the scalar type: SparseLU embeds the real
+// instantiation and CSparseLU the complex one. It pivots exactly like
+// the dense LU, so on a matrix whose nonzeros lie inside the analyzed
+// pattern the factor, solution and determinant are bit-identical to it.
+type pivotLU[T Scalar] struct {
 	sym    *Symbolic
-	lu     *Matrix
+	lu     *Dense[T]
 	piv    []int
 	signs  int
-	rowPat []uint64  // live U-side pattern per row position, swapped with rows
-	colPat []uint64  // transpose: live row positions per column
-	lPat   []uint64  // per position: columns holding a nonzero multiplier
-	ucols  []int32   // per-step scratch: live columns of the pivot row
-	xp     []float64 // permuted scratch for the static-order solve
+	rowPat []uint64 // live U-side pattern per row position, swapped with rows
+	colPat []uint64 // transpose: live row positions per column
+	lPat   []uint64 // per position: columns holding a nonzero multiplier
+	ucols  []int32  // per-step scratch: live columns of the pivot row
 }
 
-// NewSparseLU returns a factorization workspace for the analysis. All
-// storage is allocated here, so NumericFactor and SolveInto never
-// allocate.
-func NewSparseLU(sym *Symbolic) *SparseLU {
+// newPivotLU allocates all the storage a workspace for sym needs, so
+// NumericFactor and SolveInto never allocate. An AnalyzeOrdered analysis
+// needs only the factor array.
+func newPivotLU[T Scalar](sym *Symbolic) pivotLU[T] {
 	n := sym.n
-	f := &SparseLU{sym: sym, lu: NewMatrix(n, n), piv: make([]int, n)}
-	if sym.ordered {
-		f.xp = make([]float64, n)
-	} else {
+	f := pivotLU[T]{sym: sym, lu: newDense[T](n, n), piv: make([]int, n)}
+	if !sym.ordered {
 		f.rowPat = make([]uint64, len(sym.initPat))
 		f.colPat = make([]uint64, len(sym.initPat))
 		f.lPat = make([]uint64, len(sym.initPat))
@@ -508,75 +494,111 @@ func NewSparseLU(sym *Symbolic) *SparseLU {
 }
 
 // Symbolic returns the analysis this workspace factors against.
-func (f *SparseLU) Symbolic() *Symbolic { return f.sym }
+func (f *pivotLU[T]) Symbolic() *Symbolic { return f.sym }
+
+// checkSize reports an n×n analysis applied to a matrix of another shape.
+func (s *Symbolic) checkSize(rows, cols int) error {
+	if rows != s.n || cols != s.n {
+		return fmt.Errorf("la: NumericFactor size mismatch: analysis %d, matrix %d×%d", s.n, rows, cols)
+	}
+	return nil
+}
 
 // NumericFactor refactors a — whose nonzeros must lie inside the
-// analyzed pattern — reusing the workspace. In partial-pivot mode the
-// result is bit-identical to LU.FactorInto on the same matrix; in
-// static-order mode a numerically negligible pivot aborts with
-// ErrZeroPivot. a is not modified.
-func (f *SparseLU) NumericFactor(a *Matrix) error {
+// analyzed pattern — reusing the workspace, with the dense path's
+// partial pivoting. a is not modified.
+func (f *pivotLU[T]) NumericFactor(a *Dense[T]) error {
 	s := f.sym
-	n := s.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("la: NumericFactor size mismatch: analysis %d, matrix %d×%d", n, a.Rows, a.Cols)
+	if err := s.checkSize(a.Rows, a.Cols); err != nil {
+		return err
 	}
-	if s.ordered {
-		return f.factorOrdered(a)
+	copy(f.lu.Data, a.Data)
+	copy(f.rowPat, s.initPat)
+	copy(f.colPat, s.initColPat)
+	clear(f.lPat)
+	for i := range f.piv {
+		f.piv[i] = i
 	}
-	if s.words == 1 {
-		return f.factorW1(a)
-	}
-	lu := f.lu
-	copy(lu.Data, a.Data)
-	w := s.words
-	rowPat := f.rowPat
-	copy(rowPat, s.initPat)
-	colPat := f.colPat
-	copy(colPat, s.initColPat)
-	lPat := f.lPat
-	for i := range lPat {
-		lPat[i] = 0
-	}
-	piv := f.piv
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
 	// Scale reference for singularity detection: identical to the dense
 	// path's full scan because off-pattern entries are exactly zero.
-	maxAbs := 0.0
-	data := lu.Data
-	for _, idx := range s.nnzIdx {
-		if av := math.Abs(data[idx]); av > maxAbs {
-			maxAbs = av
-		}
-	}
-	tol := maxAbs * 1e-300
+	tol := maxAbs(f.lu.Data, s.nnzIdx) * 1e-300
 	if tol == 0 {
 		tol = 1e-300
 	}
+	if s.words == 1 {
+		return f.factorW1(tol)
+	}
+	return f.factorWords(tol)
+}
+
+// maxAbs returns the largest magnitude among data's entries at idx, with
+// the scalar type switched once per call (once per factor).
+func maxAbs[T Scalar](data []T, idx []int32) float64 {
+	m := 0.0
+	switch d := any(data).(type) {
+	case []float64:
+		for _, i := range idx {
+			if av := math.Abs(d[i]); av > m {
+				m = av
+			}
+		}
+	case []complex128:
+		for _, i := range idx {
+			if av := cmplx.Abs(d[i]); av > m {
+				m = av
+			}
+		}
+	}
+	return m
+}
+
+// factorWords is the multi-word (n > 64) partial-pivot elimination.
+func (f *pivotLU[T]) factorWords(tol float64) error {
+	n, w := f.sym.n, f.sym.words
+	data := f.lu.Data
+	rowPat, colPat, lPat, piv := f.rowPat, f.colPat, f.lPat, f.piv
+	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot scan with the dense path's decisions: rows without a
-		// live entry in column k hold an exact zero there, which can
-		// never win the strict comparison. The live row positions of
-		// column k are one word iteration of its transpose pattern —
-		// ascending, so ties resolve to the same first maximum as the
-		// dense scan.
-		p := k
-		pm := math.Abs(data[k*n+k])
+		// live entry in column k hold an exact zero, which can never win
+		// the strict comparison. The live row positions of column k are
+		// one word iteration of its transpose pattern — ascending, so
+		// ties resolve to the same first maximum as the dense scan. The
+		// pivot sequence, and with it bit-identity, depends on |·| being
+		// exactly math.Abs or cmplx.Abs, so the scalar type is switched
+		// here once per column, never per element, and without a call
+		// that would spill the loop state.
 		ck := colPat[k*w : (k+1)*w]
 		startW := (k + 1) >> 6
 		bmask := ^uint64(0) << uint((k+1)&63)
-		for wi := startW; wi < w; wi++ {
-			word := ck[wi]
-			if wi == startW {
-				word &= bmask
+		p, pm := k, 0.0
+		switch d := any(data).(type) {
+		case []float64:
+			pm = math.Abs(d[k*n+k])
+			for wi := startW; wi < w; wi++ {
+				word := ck[wi]
+				if wi == startW {
+					word &= bmask
+				}
+				for ; word != 0; word &= word - 1 {
+					i := wi<<6 | bits.TrailingZeros64(word)
+					if av := math.Abs(d[i*n+k]); av > pm {
+						pm, p = av, i
+					}
+				}
 			}
-			for ; word != 0; word &= word - 1 {
-				i := wi<<6 | bits.TrailingZeros64(word)
-				if av := math.Abs(data[i*n+k]); av > pm {
-					pm, p = av, i
+		case []complex128:
+			pm = cmplx.Abs(d[k*n+k])
+			for wi := startW; wi < w; wi++ {
+				word := ck[wi]
+				if wi == startW {
+					word &= bmask
+				}
+				for ; word != 0; word &= word - 1 {
+					i := wi<<6 | bits.TrailingZeros64(word)
+					if av := cmplx.Abs(d[i*n+k]); av > pm {
+						pm, p = av, i
+					}
 				}
 			}
 		}
@@ -685,99 +707,36 @@ func (f *SparseLU) NumericFactor(a *Matrix) error {
 	return nil
 }
 
-// factorOrdered runs the static-order elimination: scatter into permuted
-// positions, then eliminate along the precomputed structure with no
-// pivot search.
-func (f *SparseLU) factorOrdered(a *Matrix) error {
-	s := f.sym
-	n := s.n
-	data := f.lu.Data
-	// Only the recorded L+U positions are ever read or written; zeroing
-	// just those beats wiping the whole n² slab every refactor.
-	for _, idx := range s.fillIdx {
-		data[idx] = 0
-	}
-	maxAbs := 0.0
-	for t, idx := range s.nnzIdx {
-		v := a.Data[idx]
-		data[s.scatterDst[t]] = v
-		if av := math.Abs(v); av > maxAbs {
-			maxAbs = av
-		}
-	}
-	tol := maxAbs * 1e-12 // static order keeps no pivot search; demand headroom
-	if tol == 0 {
-		tol = 1e-300
-	}
-	for k := 0; k < n; k++ {
-		pv := data[k*n+k]
-		if math.Abs(pv) <= tol {
-			return fmt.Errorf("la: step %d pivot %.3g below threshold %.3g: %w", k, pv, tol, ErrZeroPivot)
-		}
-		inv := 1 / pv
-		rowK := data[k*n : (k+1)*n]
-		uc := s.ucolIdx[s.ucolPtr[k]:s.ucolPtr[k+1]]
-		for _, ii := range s.lrowIdx[s.lrowPtr[k]:s.lrowPtr[k+1]] {
-			i := int(ii)
-			l := data[i*n+k] * inv
-			data[i*n+k] = l
-			if l == 0 {
-				continue
-			}
-			rowI := data[i*n : (i+1)*n]
-			for _, j := range uc {
-				rowI[j] -= l * rowK[j]
-			}
-		}
-	}
-	f.signs = s.permSign
-	return nil
-}
-
 // factorW1 is the single-word (n ≤ 64) specialization of the
-// partial-pivot numeric factorization: every per-row pattern is one
-// uint64, so the word loops and strided bitset indexing of the generic
-// path collapse to scalar mask operations. Semantics are identical —
-// bit-for-bit the same decisions and arithmetic as the generic path and
-// the dense LU.
-func (f *SparseLU) factorW1(a *Matrix) error {
-	s := f.sym
-	n := s.n
-	lu := f.lu
-	copy(lu.Data, a.Data)
-	rowPat := f.rowPat
-	copy(rowPat, s.initPat)
-	colPat := f.colPat
-	copy(colPat, s.initColPat)
-	lPat := f.lPat
-	for i := range lPat {
-		lPat[i] = 0
-	}
-	piv := f.piv
-	for i := range piv {
-		piv[i] = i
-	}
+// partial-pivot elimination: every per-row pattern is one uint64, so the
+// word loops and strided bitset indexing of factorWords collapse to
+// scalar mask operations. Semantics are identical — bit-for-bit the same
+// decisions and arithmetic as factorWords and the dense LU.
+func (f *pivotLU[T]) factorW1(tol float64) error {
+	n := f.sym.n
+	data := f.lu.Data
+	rowPat, colPat, lPat, piv := f.rowPat, f.colPat, f.lPat, f.piv
 	sign := 1
-	maxAbs := 0.0
-	data := lu.Data
-	for _, idx := range s.nnzIdx {
-		if av := math.Abs(data[idx]); av > maxAbs {
-			maxAbs = av
-		}
-	}
-	tol := maxAbs * 1e-300
-	if tol == 0 {
-		tol = 1e-300
-	}
 	for k := 0; k < n; k++ {
 		kbit := uint64(1) << uint(k)
 		above := ^uint64(0) << uint(k+1) // zero for k = 63 by Go shift semantics
-		p := k
-		pm := math.Abs(data[k*n+k])
-		for word := colPat[k] & above; word != 0; word &= word - 1 {
-			i := bits.TrailingZeros64(word)
-			if av := math.Abs(data[i*n+k]); av > pm {
-				pm, p = av, i
+		p, pm := k, 0.0
+		switch d := any(data).(type) {
+		case []float64:
+			pm = math.Abs(d[k*n+k])
+			for word := colPat[k] & above; word != 0; word &= word - 1 {
+				i := bits.TrailingZeros64(word)
+				if av := math.Abs(d[i*n+k]); av > pm {
+					pm, p = av, i
+				}
+			}
+		case []complex128:
+			pm = cmplx.Abs(d[k*n+k])
+			for word := colPat[k] & above; word != 0; word &= word - 1 {
+				i := bits.TrailingZeros64(word)
+				if av := cmplx.Abs(d[i*n+k]); av > pm {
+					pm, p = av, i
+				}
 			}
 		}
 		if pm <= tol {
@@ -831,84 +790,30 @@ func (f *SparseLU) factorW1(a *Matrix) error {
 	return nil
 }
 
-// solveW1 is the single-word specialization of the partial-pivot solve.
-func (f *SparseLU) solveW1(x, b []float64) {
-	n := f.sym.n
-	data := f.lu.Data
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	for i := 1; i < n; i++ {
-		row := data[i*n : (i+1)*n]
-		acc := x[i]
-		for word := f.lPat[i]; word != 0; word &= word - 1 {
-			k := bits.TrailingZeros64(word)
-			acc -= row[k] * x[k]
-		}
-		x[i] = acc
-	}
-	for i := n - 1; i >= 0; i-- {
-		row := data[i*n : (i+1)*n]
-		acc := x[i]
-		for word := f.rowPat[i] & (^uint64(0) << uint(i+1)); word != 0; word &= word - 1 {
-			j := bits.TrailingZeros64(word)
-			acc -= row[j] * x[j]
-		}
-		x[i] = acc / row[i]
-	}
-}
-
 // Solve returns x with A·x = b.
-func (f *SparseLU) Solve(b []float64) []float64 {
-	x := make([]float64, f.sym.n)
+func (f *pivotLU[T]) Solve(b []T) []T {
+	x := make([]T, f.sym.n)
 	f.SolveInto(x, b)
 	return x
 }
 
 // SolveInto writes the solution of A·x = b into x without allocating.
-// x must not alias b; b is not modified. In partial-pivot mode the
-// result is bit-identical to the dense LU.SolveInto.
-func (f *SparseLU) SolveInto(x, b []float64) {
+// x must not alias b; b is not modified. The result is bit-identical to
+// the dense LU's SolveInto.
+func (f *pivotLU[T]) SolveInto(x, b []T) {
 	s := f.sym
-	n := s.n
+	n, w := s.n, s.words
 	if len(b) != n || len(x) != n {
 		panic("la: Solve dimension mismatch")
 	}
-	data := f.lu.Data
-	if s.ordered {
-		xp := f.xp
-		for i := 0; i < n; i++ {
-			xp[i] = b[s.rowOrder[i]]
-		}
-		for i := 1; i < n; i++ {
-			row := data[i*n : (i+1)*n]
-			acc := xp[i]
-			for _, k := range s.lpatIdx[s.lpatPtr[i]:s.lpatPtr[i+1]] {
-				acc -= row[k] * xp[k]
-			}
-			xp[i] = acc
-		}
-		for i := n - 1; i >= 0; i-- {
-			row := data[i*n : (i+1)*n]
-			acc := xp[i]
-			for _, j := range s.ucolIdx[s.ucolPtr[i]:s.ucolPtr[i+1]] {
-				acc -= row[j] * xp[j]
-			}
-			xp[i] = acc / row[i]
-		}
-		for i := 0; i < n; i++ {
-			x[s.colOrder[i]] = xp[i]
-		}
-		return
-	}
-	if s.words == 1 {
-		f.solveW1(x, b)
-		return
-	}
-	w := s.words
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
+	if w == 1 {
+		f.solveW1(x)
+		return
+	}
+	data := f.lu.Data
 	// Forward substitution over the recorded nonzero multipliers (all
 	// below the diagonal by construction); the dense path's remaining
 	// terms subtract exact zeros.
@@ -943,14 +848,192 @@ func (f *SparseLU) SolveInto(x, b []float64) {
 	}
 }
 
+// solveW1 is the single-word specialization of the substitutions, on
+// the permuted right-hand side already loaded into x.
+func (f *pivotLU[T]) solveW1(x []T) {
+	n := f.sym.n
+	data := f.lu.Data
+	for i := 1; i < n; i++ {
+		row := data[i*n : (i+1)*n]
+		acc := x[i]
+		for word := f.lPat[i]; word != 0; word &= word - 1 {
+			k := bits.TrailingZeros64(word)
+			acc -= row[k] * x[k]
+		}
+		x[i] = acc
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := data[i*n : (i+1)*n]
+		acc := x[i]
+		for word := f.rowPat[i] & (^uint64(0) << uint(i+1)); word != 0; word &= word - 1 {
+			j := bits.TrailingZeros64(word)
+			acc -= row[j] * x[j]
+		}
+		x[i] = acc / row[i]
+	}
+}
+
 // Det returns det(A) from the factorization.
-func (f *SparseLU) Det() float64 {
-	d := float64(f.signs)
+func (f *pivotLU[T]) Det() T {
+	var d T = 1
+	if f.signs < 0 {
+		d = -1
+	}
 	n := f.sym.n
 	for i := 0; i < n; i++ {
 		d *= f.lu.Data[i*n+i]
 	}
 	return d
+}
+
+// SparseLU is the real numeric factorization workspace bound to a
+// Symbolic analysis: the shared partial-pivot kernel for Analyze, the
+// static-order elimination for AnalyzeOrdered. NumericFactor refactors
+// in place with zero heap allocation; one SparseLU per solver loop,
+// reused across iterations, is the intended usage. Not safe for
+// concurrent use (share the Symbolic, not the workspace).
+type SparseLU struct {
+	pivotLU[float64]
+	xp []float64 // permuted scratch for the static-order solve
+}
+
+// NewSparseLU returns a factorization workspace for the analysis. All
+// storage is allocated here, so NumericFactor and SolveInto never
+// allocate.
+func NewSparseLU(sym *Symbolic) *SparseLU {
+	f := &SparseLU{pivotLU: newPivotLU[float64](sym)}
+	if sym.ordered {
+		f.xp = make([]float64, sym.n)
+	}
+	return f
+}
+
+// NumericFactor refactors a — whose nonzeros must lie inside the
+// analyzed pattern — reusing the workspace. In partial-pivot mode the
+// result is bit-identical to the dense LU on the same matrix; in
+// static-order mode a numerically negligible pivot aborts with
+// ErrZeroPivot. a is not modified.
+func (f *SparseLU) NumericFactor(a *Matrix) error {
+	if !f.sym.ordered {
+		return f.pivotLU.NumericFactor(a)
+	}
+	if err := f.sym.checkSize(a.Rows, a.Cols); err != nil {
+		return err
+	}
+	return f.factorOrdered(a)
+}
+
+// factorOrdered runs the static-order elimination: scatter into permuted
+// positions, then eliminate along the precomputed structure with no
+// pivot search.
+func (f *SparseLU) factorOrdered(a *Matrix) error {
+	s := f.sym
+	n := s.n
+	data := f.lu.Data
+	// Only the recorded L+U positions are ever read or written; zeroing
+	// just those beats wiping the whole n² slab every refactor.
+	for _, idx := range s.fillIdx {
+		data[idx] = 0
+	}
+	maxAbs := 0.0
+	for t, idx := range s.nnzIdx {
+		v := a.Data[idx]
+		data[s.scatterDst[t]] = v
+		if av := math.Abs(v); av > maxAbs {
+			maxAbs = av
+		}
+	}
+	tol := maxAbs * 1e-12 // static order keeps no pivot search; demand headroom
+	if tol == 0 {
+		tol = 1e-300
+	}
+	for k := 0; k < n; k++ {
+		pv := data[k*n+k]
+		if math.Abs(pv) <= tol {
+			return fmt.Errorf("la: step %d pivot %.3g below threshold %.3g: %w", k, pv, tol, ErrZeroPivot)
+		}
+		inv := 1 / pv
+		rowK := data[k*n : (k+1)*n]
+		uc := s.ucolIdx[s.ucolPtr[k]:s.ucolPtr[k+1]]
+		for _, ii := range s.lrowIdx[s.lrowPtr[k]:s.lrowPtr[k+1]] {
+			i := int(ii)
+			l := data[i*n+k] * inv
+			data[i*n+k] = l
+			if l == 0 {
+				continue
+			}
+			rowI := data[i*n : (i+1)*n]
+			for _, j := range uc {
+				rowI[j] -= l * rowK[j]
+			}
+		}
+	}
+	f.signs = s.permSign
+	return nil
+}
+
+// Solve returns x with A·x = b.
+func (f *SparseLU) Solve(b []float64) []float64 {
+	x := make([]float64, f.sym.n)
+	f.SolveInto(x, b)
+	return x
+}
+
+// SolveInto writes the solution of A·x = b into x without allocating.
+// x must not alias b; b is not modified. In partial-pivot mode the
+// result is bit-identical to the dense LU's SolveInto.
+func (f *SparseLU) SolveInto(x, b []float64) {
+	s := f.sym
+	if !s.ordered {
+		f.pivotLU.SolveInto(x, b)
+		return
+	}
+	n := s.n
+	if len(b) != n || len(x) != n {
+		panic("la: Solve dimension mismatch")
+	}
+	data := f.lu.Data
+	xp := f.xp
+	for i := 0; i < n; i++ {
+		xp[i] = b[s.rowOrder[i]]
+	}
+	for i := 1; i < n; i++ {
+		row := data[i*n : (i+1)*n]
+		acc := xp[i]
+		for _, k := range s.lpatIdx[s.lpatPtr[i]:s.lpatPtr[i+1]] {
+			acc -= row[k] * xp[k]
+		}
+		xp[i] = acc
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := data[i*n : (i+1)*n]
+		acc := xp[i]
+		for _, j := range s.ucolIdx[s.ucolPtr[i]:s.ucolPtr[i+1]] {
+			acc -= row[j] * xp[j]
+		}
+		xp[i] = acc / row[i]
+	}
+	for i := 0; i < n; i++ {
+		x[s.colOrder[i]] = xp[i]
+	}
+}
+
+// CSparseLU is the complex partial-pivot workspace for the AC and noise
+// sweeps, which refactor (G + jωC) at every frequency point on a fixed
+// pattern: the same kernel as SparseLU's partial-pivot mode, so results
+// are bit-identical to the dense complex LU. The static-order mode
+// exists for the real Newton path; the sweeps keep dynamic pivoting
+// because ω rescales the entries at every point.
+type CSparseLU struct{ pivotLU[complex128] }
+
+// NewCSparseLU returns a complex factorization workspace for sym, which
+// must come from Analyze (not AnalyzeOrdered). All storage is allocated
+// here, so NumericFactor and SolveInto never allocate.
+func NewCSparseLU(sym *Symbolic) *CSparseLU {
+	if sym.ordered {
+		panic("la: CSparseLU requires a partial-pivot (Analyze) symbolic analysis")
+	}
+	return &CSparseLU{newPivotLU[complex128](sym)}
 }
 
 // MulVecInto computes y = A·x over the analyzed pattern only (off-

@@ -430,6 +430,39 @@ func TestSparseNumericFactorNoAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("complex refactor allocates %g objects, want 0", allocs)
 	}
+
+	// n > 64: the multi-word partial-pivot path, real and complex.
+	wp, wa, wb := randomSparse(80, 0.05, 3, true)
+	wx := make([]float64, wa.Rows)
+	wf := NewSparseLU(Analyze(wp))
+	allocs = testing.AllocsPerRun(200, func() {
+		if err := wf.NumericFactor(wa); err != nil {
+			t.Fatal(err)
+		}
+		wf.SolveInto(wx, wb)
+	})
+	if allocs != 0 {
+		t.Fatalf("multi-word refactor allocates %g objects, want 0", allocs)
+	}
+	wca := NewCMatrix(wa.Rows, wa.Cols)
+	for i, v := range wa.Data {
+		wca.Data[i] = complex(v, 0.1*v)
+	}
+	wcb := make([]complex128, len(wb))
+	for i := range wb {
+		wcb[i] = complex(wb[i], 0)
+	}
+	wcx := make([]complex128, len(wb))
+	wcf := NewCSparseLU(Analyze(wp))
+	allocs = testing.AllocsPerRun(200, func() {
+		if err := wcf.NumericFactor(wca); err != nil {
+			t.Fatal(err)
+		}
+		wcf.SolveInto(wcx, wcb)
+	})
+	if allocs != 0 {
+		t.Fatalf("multi-word complex refactor allocates %g objects, want 0", allocs)
+	}
 }
 
 // TestPatternBasics covers the marking API, including the ground (-1)

@@ -50,12 +50,13 @@ type journalRecord struct {
 	State   State         `json:"state,omitempty"`
 	Error   string        `json:"error,omitempty"`
 	Result  *StudyJSON    `json:"result,omitempty"`
-	// Cluster mode: the node that admitted the job and the wall-clock
-	// deadline by which it must renew its claim. A ring successor that
-	// holds a replica of this record re-enqueues the job under the same
-	// ID once the lease expires and the owner stops heartbeating.
-	Owner string     `json:"owner,omitempty"`
-	Lease *time.Time `json:"lease,omitempty"`
+	// Cluster mode: the node that admitted the job, restored as its
+	// owner on replay. Takeover does not read the journal: the owner
+	// sends its ring successor a replicate message carrying its own lease
+	// (internal/cluster), and the successor re-enqueues the job under the
+	// same ID once that lease expires. Older lines may also carry a
+	// "lease" key, which replay ignores.
+	Owner string `json:"owner,omitempty"`
 }
 
 // JournalStats is the point-in-time shape of the WAL for /metrics.

@@ -257,6 +257,11 @@ func TestRecoverRestoresTerminalJobsAndTornTail(t *testing.T) {
 	}
 	doneReq := tinyReq(10, 3)
 	jn.append(journalRecord{Op: "submit", ID: "s000001-aaaaaaaa", Time: time.Now(), Key: "aaaa", Req: &doneReq, Created: time.Now()})
+	// A start line as a cluster node journaled it before the "lease" key
+	// was dropped: old journals must still replay it, not drop it.
+	if _, err := jn.f.WriteString(`{"op":"start","id":"s000001-aaaaaaaa","t":"2026-10-17T12:00:00Z","created":"0001-01-01T00:00:00Z","owner":"http://node-a:8080","lease":"2026-10-17T12:00:10Z"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
 	jn.append(journalRecord{Op: "final", ID: "s000001-aaaaaaaa", Time: time.Now(), State: StateDone, Result: &StudyJSON{Bits: 10, TotalEvals: 42}})
 	evReq := tinyReq(11, 3)
 	jn.append(journalRecord{Op: "submit", ID: "s000002-bbbbbbbb", Time: time.Now(), Key: "bbbb", Req: &evReq, Created: time.Now()})

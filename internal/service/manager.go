@@ -243,10 +243,11 @@ type Config struct {
 	// Empty outside cluster mode. Stamped on every job as its owner and
 	// journaled with submit/start records.
 	NodeID string
-	// Lease is the cluster job-lease duration: submit/start journal
-	// records carry a deadline of now+Lease, and the cluster layer
-	// renews replicas on the same cadence. Zero means no lease
-	// bookkeeping (single-node mode).
+	// Lease has no effect: cluster job leases are set by
+	// cluster.Config.LeaseDuration and travel only in the cluster's
+	// replicate messages.
+	//
+	// Deprecated: kept only so existing callers still compile.
 	Lease time.Duration
 }
 
@@ -594,11 +595,10 @@ func (m *Manager) Submit(req StudyRequest) (job *Job, deduped bool, err error) {
 	// submission path, which is rare next to the work it admits.
 	if m.cfg.Journal != nil {
 		req := job.Req
-		now := time.Now()
 		m.cfg.Journal.append(journalRecord{
-			Op: "submit", ID: job.ID, Time: now,
+			Op: "submit", ID: job.ID, Time: time.Now(),
 			Key: key, Req: &req, Created: job.Created,
-			Owner: m.cfg.NodeID, Lease: m.leaseDeadline(now),
+			Owner: m.cfg.NodeID,
 		})
 	}
 	return job, false, nil
@@ -662,11 +662,10 @@ func (m *Manager) Resubmit(id string, req StudyRequest) (job *Job, accepted bool
 	job.appendEvent("recovered", nil)
 	if m.cfg.Journal != nil {
 		reqCopy := req
-		now := time.Now()
 		m.cfg.Journal.append(journalRecord{
-			Op: "submit", ID: id, Time: now,
+			Op: "submit", ID: id, Time: time.Now(),
 			Key: key, Req: &reqCopy, Created: job.Created,
-			Owner: m.cfg.NodeID, Lease: m.leaseDeadline(now),
+			Owner: m.cfg.NodeID,
 		})
 	}
 	return job, true, nil
@@ -802,16 +801,6 @@ func (m *Manager) Ready() bool {
 // mode).
 func (m *Manager) NodeID() string { return m.cfg.NodeID }
 
-// leaseDeadline computes the journal/replica lease for a record stamped
-// now; nil when lease bookkeeping is off.
-func (m *Manager) leaseDeadline(now time.Time) *time.Time {
-	if m.cfg.Lease <= 0 {
-		return nil
-	}
-	t := now.Add(m.cfg.Lease)
-	return &t
-}
-
 // runJob executes one study on an executor goroutine.
 func (m *Manager) runJob(job *Job) {
 	ctx, cancel := context.WithCancel(m.loopCtx)
@@ -826,11 +815,7 @@ func (m *Manager) runJob(job *Job) {
 	if m.cfg.Journal != nil {
 		// Losing this record to a crash is harmless: a job journaled as
 		// queued is re-enqueued by replay exactly like a running one.
-		now := time.Now()
-		m.cfg.Journal.append(journalRecord{
-			Op: "start", ID: job.ID, Time: now,
-			Owner: m.cfg.NodeID, Lease: m.leaseDeadline(now),
-		})
+		m.cfg.Journal.append(journalRecord{Op: "start", ID: job.ID, Time: time.Now(), Owner: m.cfg.NodeID})
 	}
 
 	opts, err := job.Req.Options()

@@ -9,31 +9,29 @@ import (
 	"pipesyn/internal/netlist"
 )
 
+// gmin is the floor conductance from every node to ground, S: the DC
+// ladders end on it, TranOpts.Gmin defaults to it, and the small-signal
+// analyses shunt every node with it.
+const gmin = 1e-12
+
+// DC Newton convergence: every node update must fall below
+// dcVNTol + dcRelTol·|v|, and a damped step moves no node by more than
+// dcVLimit.
+const (
+	dcVNTol  = 1e-6 // absolute voltage tolerance, V
+	dcRelTol = 1e-3 // relative voltage tolerance
+	dcVLimit = 0.5  // max Newton voltage step, V
+)
+
 // DCOpts tunes the operating-point solver.
 type DCOpts struct {
-	MaxIter     int     // Newton iterations per continuation step (default 150)
-	VNTol       float64 // absolute voltage tolerance (default 1 µV)
-	RelTol      float64 // relative tolerance (default 1e-3)
-	Gmin        float64 // floor conductance from every node to ground (default 1e-12)
-	VLimit      float64 // max Newton voltage step (default 0.5 V)
-	SwitchPhase int     // which clock phase is active for clocked switches (0 = none)
+	MaxIter     int // Newton iterations per continuation step (default 150)
+	SwitchPhase int // which clock phase is active for clocked switches (0 = none)
 }
 
 func (o *DCOpts) defaults() {
 	if o.MaxIter == 0 {
 		o.MaxIter = 150
-	}
-	if o.VNTol == 0 {
-		o.VNTol = 1e-6
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 1e-3
-	}
-	if o.Gmin == 0 {
-		o.Gmin = 1e-12
-	}
-	if o.VLimit == 0 {
-		o.VLimit = 0.5
 	}
 }
 
@@ -110,7 +108,7 @@ func opCompiled(cc *compiled, opts DCOpts) (*DCResult, error) {
 	}
 
 	// 1. Plain Newton.
-	if sol, n, err := try(x, opts.Gmin, 1); err == nil {
+	if sol, n, err := try(x, gmin, 1); err == nil {
 		totalIter += n
 		return finishDC(cc, sol, totalIter), nil
 	} else {
@@ -120,7 +118,7 @@ func opCompiled(cc *compiled, opts DCOpts) (*DCResult, error) {
 	// 2. Gmin stepping: solve with a heavy shunt everywhere, then relax.
 	xg := make([]float64, cc.layout.Size)
 	ok := true
-	for _, g := range []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10, opts.Gmin} {
+	for _, g := range []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10, gmin} {
 		sol, n, err := try(xg, g, 1)
 		totalIter += n
 		if err != nil {
@@ -136,7 +134,7 @@ func opCompiled(cc *compiled, opts DCOpts) (*DCResult, error) {
 	// 3. Source stepping: ramp every independent source from 10% to 100%.
 	xs := make([]float64, cc.layout.Size)
 	for _, scale := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
-		sol, n, err := try(xs, opts.Gmin, scale)
+		sol, n, err := try(xs, gmin, scale)
 		totalIter += n
 		if err != nil {
 			// %w keeps the typed ConvergenceError reachable via errors.As
@@ -231,15 +229,15 @@ func newtonLoop(cc *compiled, ws *dcWorkspace, x0 []float64, opts DCOpts, reuse 
 		worstIdx, worstDelta = maxIdx, maxDelta
 		prevStep, lastStep = lastStep, maxDelta
 		alpha := 1.0
-		if maxDelta > opts.VLimit {
-			alpha = opts.VLimit / maxDelta
+		if maxDelta > dcVLimit {
+			alpha = dcVLimit / maxDelta
 		}
 		converged := true
 		for i := range x {
 			step := alpha * (xNew[i] - x[i])
 			x[i] += step
 			if i < len(cc.layout.Nodes) {
-				if math.Abs(step) > opts.VNTol+opts.RelTol*math.Abs(x[i]) {
+				if math.Abs(step) > dcVNTol+dcRelTol*math.Abs(x[i]) {
 					converged = false
 				}
 			}

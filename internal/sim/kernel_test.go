@@ -178,12 +178,12 @@ func TestDCIterationDoesNotAllocate(t *testing.T) {
 	opts := DCOpts{}
 	opts.defaults()
 	x0 := make([]float64, cc.layout.Size)
-	sol, _, err := newton(cc, x0, opts.Gmin, 1, opts)
+	sol, _, err := newton(cc, x0, gmin, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := cc.dcWS()
-	ws.prepare(cc, opts.Gmin, 1, 0)
+	ws.prepare(cc, gmin, 1, 0)
 	copy(ws.x, sol)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := ws.iterate(cc); err != nil {
@@ -203,7 +203,7 @@ func TestTranStepDoesNotAllocate(t *testing.T) {
 	opts := DCOpts{}
 	opts.defaults()
 	x0 := make([]float64, cc.layout.Size)
-	sol, _, err := newton(cc, x0, opts.Gmin, 1, opts)
+	sol, _, err := newton(cc, x0, gmin, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,11 @@ type NoiseOpts struct {
 	PointsPerDecade int     // default 20
 	Temp            float64 // kelvin, default 300
 	SwitchPhase     int     // clock phase considered closed
-	// GammaMOS is the channel thermal-noise factor (default 2/3, the
-	// long-channel value; short-channel devices run hotter).
-	GammaMOS float64
 }
+
+// gammaMOS is the MOS channel thermal-noise factor: the long-channel
+// value (short-channel devices run hotter).
+const gammaMOS = 2.0 / 3.0
 
 // NoiseResult holds the output-referred noise analysis.
 type NoiseResult struct {
@@ -56,9 +57,6 @@ func Noise(c *netlist.Circuit, op *DCResult, opts NoiseOpts) (*NoiseResult, erro
 	}
 	if opts.Temp == 0 {
 		opts.Temp = 300
-	}
-	if opts.GammaMOS == 0 {
-		opts.GammaMOS = 2.0 / 3.0
 	}
 	cc, err := compile(c)
 	if err != nil {
@@ -114,7 +112,7 @@ func Noise(c *netlist.Circuit, op *DCResult, opts NoiseOpts) (*NoiseResult, erro
 			sources = append(sources, noiseSource{
 				element: e.Name,
 				p:       l.idx(e.Nodes[0]), n: l.idx(e.Nodes[2]), // drain–source
-				psd: fourKT * opts.GammaMOS * mop.GM,
+				psd: fourKT * gammaMOS * mop.GM,
 			})
 		}
 	}
@@ -190,7 +188,7 @@ func buildSmallSignal(cc *compiled, op *DCResult, switchPhase int) (*la.Matrix, 
 	g := la.NewMatrix(n, n)
 	cap := la.NewMatrix(n, n)
 	for i := 0; i < len(l.Nodes); i++ {
-		g.Add(i, i, 1e-12)
+		g.Add(i, i, gmin)
 	}
 	for _, e := range cc.circuit.Elements {
 		switch e.Type {

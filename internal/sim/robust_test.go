@@ -72,7 +72,7 @@ C1 out 0 1n
 // TestTranGminConfigurable: a capacitively coupled node is held up only
 // by the gmin shunt. The default floor (1e-12 S) keeps it essentially
 // frozen over microseconds; a deliberately heavy 1e-3 S shunt drains it
-// with τ = C/G = 1 µs. The knob must match DCOpts.Gmin semantics.
+// with τ = C/G = 1 µs. The knob must match the DC solver's gmin semantics.
 func TestTranGminConfigurable(t *testing.T) {
 	deck := `* floating cap node
 V1 in 0 PWL(0 0 1n 1)

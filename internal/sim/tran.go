@@ -28,8 +28,8 @@ type TranOpts struct {
 	ClockPeriod float64
 	NonOverlap  float64
 	MaxNewton   int
-	// Gmin is the floor conductance from every node to ground, matching
-	// DCOpts.Gmin (default 1e-12 S).
+	// Gmin is the floor conductance from every node to ground (default
+	// 1e-12 S, the DC solver's floor).
 	Gmin float64
 	// UseICs starts from the given node voltages instead of a DC solve.
 	UseICs bool
@@ -418,7 +418,7 @@ func (opts *TranOpts) normalize() error {
 		opts.MaxNewton = 80
 	}
 	if opts.Gmin == 0 {
-		opts.Gmin = 1e-12
+		opts.Gmin = gmin
 	}
 	return nil
 }

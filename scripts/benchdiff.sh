@@ -1,9 +1,12 @@
 #!/bin/sh
 # Compare a fresh benchmark run against the committed baseline in
 # BENCH_kernels.json and warn on per-benchmark ns/op regressions above
-# the threshold (default 10%). Advisory by default: the script always
-# exits 0 so a noisy CI box cannot fail the gate — set
-# BENCHDIFF_STRICT=1 to turn regressions into a failure locally.
+# the threshold (default 10%). Both sides hold -count 5 samples per
+# benchmark (the `make bench` setting); each benchmark's median is
+# compared with the baseline's median, so one noisy sample cannot flag
+# or hide a regression. Advisory by default: the script always exits 0
+# so a noisy CI box cannot fail the gate — set BENCHDIFF_STRICT=1 to
+# turn regressions into a failure locally.
 #
 # Environment:
 #   BENCHDIFF_BASE       baseline file       (default BENCH_kernels.json)
@@ -26,41 +29,29 @@ fi
 fresh=$(mktemp) && base_tbl=$(mktemp) && fresh_tbl=$(mktemp)
 trap 'rm -f "$fresh" "$base_tbl" "$fresh_tbl"' EXIT
 
-echo "benchdiff: fresh run (benchtime $BENCHTIME)..." >&2
-# Mirror the `make bench` package set, filters, and volatile-field strip.
+echo "benchdiff: fresh run (benchtime $BENCHTIME, count 5)..." >&2
+# Mirror the `make bench` package set, count, filters, and volatile-field
+# strip.
 filter=$(dirname "$0")/benchfilter.sh
-go test -json -bench=. -benchmem -run='^$' -benchtime "$BENCHTIME" \
+go test -json -bench=. -benchmem -run='^$' -benchtime "$BENCHTIME" -count 5 \
     ./internal/la ./internal/expr ./internal/sim ./internal/hybrid | "$filter" > "$fresh"
 go test -json -bench='^Benchmark(OP|TranSettle|ACSweep|Study13b|Study13bRacing)$' \
-    -benchmem -run='^$' -benchtime "$BENCHTIME" . | "$filter" >> "$fresh"
+    -benchmem -run='^$' -benchtime "$BENCHTIME" -count 5 . | "$filter" >> "$fresh"
 
-# Extract "pkg/BenchmarkName ns_op" pairs from go-test JSON events.
-extract() {
-    grep -F 'ns/op' "$1" | awk '
-        {
-            if (!match($0, /"Package":"[^"]*"/)) next
-            pkg = substr($0, RSTART + 11, RLENGTH - 12)
-            if (!match($0, /"Test":"[^"]*"/)) next
-            name = substr($0, RSTART + 8, RLENGTH - 9)
-            if (!match($0, /[0-9][0-9.]* ns\/op/)) next
-            v = substr($0, RSTART, RLENGTH - 6)
-            print pkg "/" name, v
-        }'
-}
-
-extract "$BASE" > "$base_tbl"
-extract "$fresh" > "$fresh_tbl"
+medians=$(dirname "$0")/benchmedians.sh
+"$medians" "$BASE" > "$base_tbl"
+"$medians" "$fresh" > "$fresh_tbl"
 
 awk -v thresh="$THRESHOLD" '
-    NR == FNR { base[$1] = $2; next }
+    NR == FNR { base[$1] = $2; bn[$1] = $3; next }
     {
-        if (!($1 in base)) { printf "  new      %-60s %12.0f ns/op\n", $1, $2; next }
+        if (!($1 in base)) { printf "  new      %-60s %12.0f ns/op (median of %d)\n", $1, $2, $3; next }
         b = base[$1]; f = $2
         pct = (f - b) / b * 100
         tag = "ok"
         if (pct > thresh)  { tag = "REGRESSED"; bad++ }
         if (pct < -thresh) { tag = "improved" }
-        printf "  %-9s %-60s %12.0f -> %12.0f ns/op  %+6.1f%%\n", tag, $1, b, f, pct
+        printf "  %-9s %-60s %12.0f -> %12.0f ns/op  %+6.1f%%  (medians of %d, %d)\n", tag, $1, b, f, pct, bn[$1], $3
         seen[$1] = 1
     }
     END {
