@@ -50,11 +50,12 @@ lane_race() {
     "$GO" test -race ./internal/race
     "$GO" test -race -run 'Race|Surrogate' ./internal/synth ./internal/core ./internal/service
     # Sparse-solver lane: the sparse/dense bit-exactness, symbolic-coverage,
-    # reuse-vs-full-Newton tolerance, ordered-pivot equivalence, and
+    # reuse-vs-full-Newton tolerance, ordered-pivot equivalence,
     # warm-kernel isolation (rebound kernel and evaluator bitwise equal to
-    # a cold compile) tests under the race detector — the correctness
-    # contract of the fast path.
-    "$GO" test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot|Warm' \
+    # a cold compile), and shared loop transfer function (eight evaluators
+    # racing to its first compile, bitwise equal to serial) tests under the
+    # race detector — the correctness contract of the fast path.
+    "$GO" test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot|Warm|SharedLoopTF' \
         ./internal/la ./internal/sim ./internal/hybrid ./internal/synth
 }
 

@@ -13,6 +13,7 @@ package dpi
 import (
 	"fmt"
 
+	"pipesyn/internal/device"
 	"pipesyn/internal/expr"
 	"pipesyn/internal/netlist"
 	"pipesyn/internal/sfg"
@@ -139,35 +140,31 @@ func Build(c *netlist.Circuit, opts Options) (*Analysis, error) {
 	}
 	for _, e := range c.Elements {
 		switch e.Type {
-		case netlist.Resistor:
-			g := expr.V("g_" + e.Name)
-			ym.stampAdmittance(nodeOf(e.Nodes[0]), nodeOf(e.Nodes[1]), g)
+		case netlist.Resistor, netlist.Switch:
+			ym.stampAdmittance(nodeOf(e.Nodes[0]), nodeOf(e.Nodes[1]), expr.V(Cond.Var(e.Name)))
 		case netlist.Capacitor:
 			if !opts.IncludeCaps {
 				continue
 			}
-			g := expr.Mul(expr.V("s"), expr.V("c_"+e.Name))
-			ym.stampAdmittance(nodeOf(e.Nodes[0]), nodeOf(e.Nodes[1]), g)
-		case netlist.Switch:
-			g := expr.V("g_" + e.Name)
+			g := expr.Mul(expr.V("s"), expr.V(Cap.Var(e.Name)))
 			ym.stampAdmittance(nodeOf(e.Nodes[0]), nodeOf(e.Nodes[1]), g)
 		case netlist.VCCS:
-			g := expr.V("gm_" + e.Name)
+			g := expr.V(Gm.Var(e.Name))
 			ym.stampVCCS(nodeOf(e.Nodes[0]), nodeOf(e.Nodes[1]), nodeOf(e.Nodes[2]), nodeOf(e.Nodes[3]), g)
 		case netlist.MOS:
 			d, g, s, b := nodeOf(e.Nodes[0]), nodeOf(e.Nodes[1]), nodeOf(e.Nodes[2]), nodeOf(e.Nodes[3])
-			ym.stampVCCS(d, s, g, s, expr.V("gm_"+e.Name))
-			ym.stampAdmittance(d, s, expr.V("gds_"+e.Name))
-			ym.stampVCCS(d, s, b, s, expr.V("gmb_"+e.Name))
+			ym.stampVCCS(d, s, g, s, expr.V(Gm.Var(e.Name)))
+			ym.stampAdmittance(d, s, expr.V(Gds.Var(e.Name)))
+			ym.stampVCCS(d, s, b, s, expr.V(Gmb.Var(e.Name)))
 			if opts.IncludeCaps {
-				sC := func(suffix string) expr.Expr {
-					return expr.Mul(expr.V("s"), expr.V(suffix+"_"+e.Name))
+				sC := func(f Field) expr.Expr {
+					return expr.Mul(expr.V("s"), expr.V(f.Var(e.Name)))
 				}
-				ym.stampAdmittance(g, s, sC("cgs"))
-				ym.stampAdmittance(g, d, sC("cgd"))
-				ym.stampAdmittance(g, b, sC("cgb"))
-				ym.stampAdmittance(d, b, sC("cdb"))
-				ym.stampAdmittance(s, b, sC("csb"))
+				ym.stampAdmittance(g, s, sC(Cgs))
+				ym.stampAdmittance(g, d, sC(Cgd))
+				ym.stampAdmittance(g, b, sC(Cgb))
+				ym.stampAdmittance(d, b, sC(Cdb))
+				ym.stampAdmittance(s, b, sC(Csb))
 			}
 		case netlist.ISource, netlist.VSource:
 			// Independent sources carry no admittance.
@@ -215,45 +212,81 @@ func (a *Analysis) TransferFunction(out string) (expr.Expr, error) {
 	return a.Graph.TransferFunction(a.Input, out)
 }
 
+// Field is one small-signal quantity of an element: each variable of a
+// transfer function is one field of one element, named by Var and valued
+// by Value, the definitions Build, Env and slot-bound callers share.
+type Field uint8
+
+// The fields: g_ (1/R, or a switch's on or off conductance), c_ (a
+// capacitance), gm_ (a VCCS gain or a MOSFET's gm) and the MOSFET
+// operating-point fields gds_ to csb_.
+const (
+	Cond Field = iota
+	Cap
+	Gm
+	Gds
+	Gmb
+	Cgs
+	Cgd
+	Cgb
+	Cdb
+	Csb
+)
+
+var fieldPrefix = [...]string{"g_", "c_", "gm_", "gds_", "gmb_", "cgs_", "cgd_", "cgb_", "cdb_", "csb_"}
+
+var fieldsOf = map[netlist.ElemType][]Field{
+	netlist.Resistor: {Cond}, netlist.Switch: {Cond}, netlist.Capacitor: {Cap}, netlist.VCCS: {Gm},
+	netlist.MOS: {Gm, Gds, Gmb, Cgs, Cgd, Cgb, Cdb, Csb},
+}
+
+// FieldsOf lists the fields an element of type t contributes.
+func FieldsOf(t netlist.ElemType) []Field { return fieldsOf[t] }
+
+// Var is the transfer-function variable of field f of the named element.
+func (f Field) Var(elem string) string { return fieldPrefix[f] + elem }
+
+// Value is field f of element e of circuit c: read from the element for
+// R, C, VCCS and switches, from mop, e's operating point, for a MOSFET.
+func (f Field) Value(c *netlist.Circuit, e *netlist.Element, mop *device.OP, opts Options) (float64, error) {
+	switch e.Type {
+	case netlist.Resistor:
+		return 1 / e.Value, nil
+	case netlist.Capacitor, netlist.VCCS:
+		return e.Value, nil
+	case netlist.Switch:
+		m, err := c.ModelFor(e)
+		if err != nil {
+			return 0, err
+		}
+		if phase := int(e.Param("phase", 0)); phase == 0 || phase == opts.SwitchPhase {
+			return 1 / m.Param("ron", 1e3), nil
+		}
+		return 1 / m.Param("roff", 1e12), nil
+	}
+	return [...]float64{Gm: mop.GM, Gds: mop.GDS, Gmb: mop.GMB, Cgs: mop.CGS,
+		Cgd: mop.CGD, Cgb: mop.CGB, Cdb: mop.CDB, Csb: mop.CSB}[f], nil
+}
+
 // Env binds every small-signal variable of the analysis to its numeric
 // value: element values for R/C/VCCS/switch, DC-extracted gm/gds/caps for
 // MOSFETs. The Laplace variable "s" stays free.
 func Env(c *netlist.Circuit, op *sim.DCResult, opts Options) (map[string]float64, error) {
 	env := map[string]float64{}
 	for _, e := range c.Elements {
-		switch e.Type {
-		case netlist.Resistor:
-			env["g_"+e.Name] = 1 / e.Value
-		case netlist.Capacitor:
-			env["c_"+e.Name] = e.Value
-		case netlist.Switch:
-			m, err := c.ModelFor(e)
+		var mop device.OP
+		if e.Type == netlist.MOS {
+			var ok bool
+			if mop, ok = op.MOS[e.Name]; !ok {
+				return nil, fmt.Errorf("dpi: operating point missing %s", e.Name)
+			}
+		}
+		for _, f := range FieldsOf(e.Type) {
+			v, err := f.Value(c, e, &mop, opts)
 			if err != nil {
 				return nil, err
 			}
-			ron := m.Param("ron", 1e3)
-			roff := m.Param("roff", 1e12)
-			phase := int(e.Param("phase", 0))
-			if phase == 0 || phase == opts.SwitchPhase {
-				env["g_"+e.Name] = 1 / ron
-			} else {
-				env["g_"+e.Name] = 1 / roff
-			}
-		case netlist.VCCS:
-			env["gm_"+e.Name] = e.Value
-		case netlist.MOS:
-			mop, ok := op.MOS[e.Name]
-			if !ok {
-				return nil, fmt.Errorf("dpi: operating point missing %s", e.Name)
-			}
-			env["gm_"+e.Name] = mop.GM
-			env["gds_"+e.Name] = mop.GDS
-			env["gmb_"+e.Name] = mop.GMB
-			env["cgs_"+e.Name] = mop.CGS
-			env["cgd_"+e.Name] = mop.CGD
-			env["cgb_"+e.Name] = mop.CGB
-			env["cdb_"+e.Name] = mop.CDB
-			env["csb_"+e.Name] = mop.CSB
+			env[f.Var(e.Name)] = v
 		}
 	}
 	return env, nil

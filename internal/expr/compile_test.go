@@ -42,11 +42,14 @@ func TestCompileMatchesEvalC(t *testing.T) {
 	}
 }
 
-// Property: compiled evaluation equals tree evaluation for random
-// expressions built from the constructor grammar.
+// Property: compiled evaluation equals tree evaluation bit for bit for
+// random expressions built from the constructor grammar — sums,
+// differences, products, quotients and positive and negative powers —
+// with real-valued parameters and a pure-imaginary s, as the hybrid
+// evaluator binds them.
 func TestCompileEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	names := []string{"a", "b", "c", "d"}
+	names := []string{"a", "b", "c", "d", "s"}
 	var build func(r *rand.Rand, depth int) Expr
 	build = func(r *rand.Rand, depth int) Expr {
 		if depth == 0 || r.Float64() < 0.3 {
@@ -55,16 +58,28 @@ func TestCompileEquivalenceProperty(t *testing.T) {
 			}
 			return V(names[r.Intn(len(names))])
 		}
-		switch r.Intn(4) {
+		switch r.Intn(6) {
 		case 0:
 			return Add(build(r, depth-1), build(r, depth-1))
 		case 1:
 			return Mul(build(r, depth-1), build(r, depth-1))
 		case 2:
 			return Pow(build(r, depth-1), r.Intn(3)+1)
+		case 3:
+			return Pow(build(r, depth-1), -(r.Intn(3) + 1))
+		case 4:
+			num, den := build(r, depth-1), build(r, depth-1)
+			if v, ok := den.IsConst(); ok && v == 0 {
+				return num // Div panics on a constant zero
+			}
+			return Div(num, den)
 		default:
 			return Sub(build(r, depth-1), build(r, depth-1))
 		}
+	}
+	sameBits := func(x, y complex128) bool {
+		return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
+			math.Float64bits(imag(x)) == math.Float64bits(imag(y))
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -77,6 +92,9 @@ func TestCompileEquivalenceProperty(t *testing.T) {
 		vals := make([]complex128, len(vars))
 		for i, n := range vars {
 			v := complex(r.Float64()*2+0.5, r.Float64())
+			if n == "s" {
+				v = complex(0, r.Float64()*4+0.1)
+			}
 			vals[i] = v
 			cenv[n] = v
 		}
@@ -85,10 +103,13 @@ func TestCompileEquivalenceProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
-		d := got - want
-		return math.Hypot(real(d), imag(d)) <= 1e-9*(1+math.Hypot(real(want), imag(want)))
+		if !sameBits(got, want) {
+			t.Logf("%v: compiled %v, tree %v", e, got, want)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rng}); err != nil {
 		t.Error(err)
 	}
 }

@@ -31,8 +31,9 @@ func benchSizings(tb testing.TB, n int) []opamp.Amp {
 
 // BenchmarkEvaluate8 evaluates 8 candidates through one fresh
 // evaluator, the way a synthesis restart does: the first evaluation
-// compiles the loop transfer function and the hold-circuit kernel, the
-// other seven rebind the warm kernel and solve on the reuse-Newton path.
+// compiles the hold-circuit kernel and binds the process-wide loop
+// transfer function, the other seven rebind the warm kernel and solve
+// on the reuse-Newton path.
 func BenchmarkEvaluate8(b *testing.B) {
 	st := relaxedStage(b)
 	sizings := benchSizings(b, 8)
@@ -43,6 +44,31 @@ func BenchmarkEvaluate8(b *testing.B) {
 			if _, err := se.Evaluate(context.Background(), sz); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkLoopTF is the hybrid transfer-function leg alone: one warm
+// evaluator's slot fill plus its early-stopped two-pass sweep, at a fixed
+// operating point.
+func BenchmarkLoopTF(b *testing.B) {
+	st := relaxedStage(b)
+	se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
+	if _, err := se.Evaluate(context.Background(), st.Sizing); err != nil {
+		b.Fatal(err)
+	}
+	hold, op, cin, err := holdOP(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := se.tf.fill(se.slot, hold, op, cin); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := se.loopMetrics(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

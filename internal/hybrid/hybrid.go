@@ -20,7 +20,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-
+	"strings"
+	"sync"
 	"time"
 
 	"pipesyn/internal/device"
@@ -80,14 +81,15 @@ type Metrics struct {
 }
 
 // StageEvaluator evaluates sizing candidates for one fixed stage spec.
-// It keeps two per-topology artifacts warm across candidates, because
-// the MDAC topology never changes during a synthesis run: the compiled
-// symbolic loop transfer function (the expensive DPI/SFG + Mason step
-// happens once and every candidate only re-binds the extracted
-// small-signal values), and the simulation kernel of the closed-loop
-// hold circuit (compiled once and rebound to each candidate's values;
-// see sim.Kernel for why a rebound result is bit-identical to a cold
-// compile).
+// It keeps the simulation kernel of the closed-loop hold circuit warm
+// across candidates, because the MDAC topology never changes during a
+// synthesis run: the kernel is compiled once and rebound to each
+// candidate's values (see sim.Kernel for why a rebound result is
+// bit-identical to a cold compile). The compiled symbolic loop transfer
+// function is built once per topology for the whole process and shared
+// by every evaluator (see loopTF): the expensive DPI/SFG + Mason step
+// happens once, and each candidate only writes its extracted
+// small-signal values into the program's slots.
 //
 // A StageEvaluator is not safe for concurrent use: its warm kernel and
 // scratch buffers belong to one goroutine. Use one per synthesis
@@ -97,9 +99,8 @@ type StageEvaluator struct {
 	Process *pdk.Process
 	Mode    Mode
 
-	prog *expr.Program
-	vars []string
-	sIdx int
+	tf   *loopTF      // the topology's shared loop transfer function
+	slot []complex128 // tf's variable values for the current candidate
 	buf  expr.EvalBuf
 	kern *sim.Kernel // warm hold-circuit kernel, compiled on first use
 }
@@ -112,7 +113,7 @@ func NewStageEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode Mode) *S
 // Evaluate scores one sizing candidate. The result does not depend on
 // which candidates the evaluator scored before: the warm kernel is
 // rebound per candidate, and a candidate of another amplifier topology
-// recompiles both cached artifacts.
+// recompiles the kernel and binds that topology's transfer function.
 //
 // One evaluation is the engine's cancellation granule: ctx is checked on
 // entry and between the DC, transfer-function, and transient legs, so a
@@ -131,19 +132,60 @@ func (se *StageEvaluator) Evaluate(ctx context.Context, sizing opamp.Amp) (Metri
 	return Metrics{}, fmt.Errorf("hybrid: unknown mode %d", se.Mode)
 }
 
-// compileLoopTF builds and caches the symbolic loop transfer function
-// from the candidate's topology. The cin placeholder value is irrelevant:
-// only the element's existence shapes the topology, and Env re-binds its
-// value on every candidate.
-func (se *StageEvaluator) compileLoopTF(amp opamp.Amp) error {
-	if se.prog != nil {
-		return nil
-	}
-	st := mdac.Stage{Spec: se.Spec, Sizing: amp, Process: se.Process}
+// loopTF is one amplifier topology's compiled loop transfer function,
+// immutable and shared by every evaluator in the process. Each variable
+// but s is resolved once to its source: a field of a hold-circuit element
+// (an element value, or a MOSFET's operating point), or cin.
+type loopTF struct {
+	prog *expr.Program
+	sIdx int
+	srcs []tfSource // in element order, so a MOSFET's fields are adjacent
+}
+
+// tfSource binds program slot slot to field of hold-circuit element
+// elem, or to cin when elem is -1.
+type tfSource struct {
+	slot, elem int
+	field      dpi.Field
+}
+
+// loopTFs holds one loopTF per loop-netlist structure (element names,
+// types and nodes), filled on first use; an entry depends on its key only.
+var loopTFs = struct {
+	sync.Mutex
+	m map[string]*loopTF
+}{m: map[string]*loopTF{}}
+
+// loopTFFor returns the shared transfer function of st's topology,
+// compiling it on the process's first request. mdac builds the loop and
+// hold netlists around the same amplifier, so the loop structure fixes
+// the hold elements the sources point at. The cin placeholder only makes
+// the element exist; fill binds its value per candidate.
+func loopTFFor(st mdac.Stage, hold *netlist.Circuit) (*loopTF, error) {
 	loop, err := st.LoopCircuit(1e-16)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var key strings.Builder
+	for _, e := range loop.Elements {
+		fmt.Fprintf(&key, "%s %d %s;", e.Name, e.Type, strings.Join(e.Nodes, " "))
+	}
+	loopTFs.Lock()
+	defer loopTFs.Unlock()
+	if tf := loopTFs.m[key.String()]; tf != nil {
+		return tf, nil
+	}
+	tf, err := compileLoopTF(loop, hold)
+	if err != nil {
+		return nil, err
+	}
+	loopTFs.m[key.String()] = tf
+	return tf, nil
+}
+
+// compileLoopTF runs DPI/SFG, Mason and Compile on the loop netlist and
+// resolves every variable to its source in hold.
+func compileLoopTF(loop, hold *netlist.Circuit) (*loopTF, error) {
 	// The diode-connected mirror gate is a low-impedance bias node;
 	// grounding it for small-signal purposes is the designer's standard
 	// simplification and collapses the Mason loop set (and with it the
@@ -153,20 +195,63 @@ func (se *StageEvaluator) compileLoopTF(amp opamp.Amp) error {
 		ACGround: []string{mdac.AmpPrefix + "bn"},
 	})
 	if err != nil {
-		return fmt.Errorf("hybrid: DPI build: %w", err)
+		return nil, fmt.Errorf("hybrid: DPI build: %w", err)
 	}
-	tf, err := an.TransferFunction(mdac.NodeFB)
+	h, err := an.TransferFunction(mdac.NodeFB)
 	if err != nil {
-		return fmt.Errorf("hybrid: Mason: %w", err)
+		return nil, fmt.Errorf("hybrid: Mason: %w", err)
 	}
-	prog, vars, err := tf.Compile()
+	prog, vars, err := h.Compile()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	se.prog, se.vars = prog, vars
-	se.sIdx = prog.VarIndex("s")
-	if se.sIdx < 0 {
-		return fmt.Errorf("hybrid: loop transfer function lost its frequency dependence")
+	tf := &loopTF{prog: prog, sIdx: prog.VarIndex("s")}
+	if tf.sIdx < 0 {
+		return nil, fmt.Errorf("hybrid: loop transfer function lost its frequency dependence")
+	}
+	holdIdx := map[string]int{mdac.ElemCin: -1}
+	for i, e := range hold.Elements {
+		holdIdx[e.Name] = i
+	}
+	for _, e := range loop.Elements {
+		i, inHold := holdIdx[e.Name]
+		for _, f := range dpi.FieldsOf(e.Type) {
+			if slot := prog.VarIndex(f.Var(e.Name)); slot >= 0 && inHold {
+				tf.srcs = append(tf.srcs, tfSource{slot: slot, elem: i, field: f})
+			}
+		}
+	}
+	if len(tf.srcs) != len(vars)-1 {
+		return nil, fmt.Errorf("hybrid: %d of the loop's %d variables have no source in the hold circuit", len(vars)-1-len(tf.srcs), len(vars)-1)
+	}
+	return tf, nil
+}
+
+// fill writes one candidate's values into slot straight from its hold
+// circuit, the operating point solved for it (one op.MOS read per
+// MOSFET) and cin, through the dpi.Field definitions dpi.Env uses. A
+// cin ≤ 0 drops the element from mdac.LoopCircuit, so such a candidate
+// fails as it does on that netlist.
+func (tf *loopTF) fill(slot []complex128, hold *netlist.Circuit, op *sim.DCResult, cin float64) error {
+	if !(cin > 0) {
+		return fmt.Errorf("hybrid: environment missing %q", dpi.Cap.Var(mdac.ElemCin))
+	}
+	var mop device.OP
+	read := -1
+	for _, src := range tf.srcs {
+		if src.elem < 0 {
+			slot[src.slot] = complex(cin, 0)
+			continue
+		}
+		e := hold.Elements[src.elem]
+		if e.Type == netlist.MOS && src.elem != read {
+			mop, read = op.MOS[e.Name], src.elem
+		}
+		v, err := src.field.Value(hold, e, &mop, dpi.Options{})
+		if err != nil {
+			return err
+		}
+		slot[src.slot] = complex(v, 0)
 	}
 	return nil
 }
@@ -245,26 +330,24 @@ func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (M
 	if err := ctx.Err(); err != nil {
 		return m, err
 	}
-	loop, err := st.LoopCircuit(cin)
-	if err != nil {
-		return m, err
-	}
 	beta := sp.CFeed / (sp.CFeed + sp.CSample + cin)
 	tTF := time.Now()
 	switch mode {
 	case Hybrid:
-		if err := se.compileLoopTF(st.Sizing); err != nil {
-			return m, err
+		if se.tf == nil {
+			if se.tf, err = loopTFFor(st, hold); err != nil {
+				return m, err
+			}
+			se.slot = make([]complex128, len(se.tf.srcs)+1)
 		}
-		env, err := dpi.Env(loop, op, dpi.Options{})
-		if err != nil {
-			return m, err
-		}
-		// Evaluate the cached symbolic transfer function pointwise with
+		// Evaluate the shared symbolic transfer function pointwise with
 		// complex arithmetic. (Converting the un-cancelled degree-~50
 		// Mason rational function to polynomial coefficients loses double
 		// precision; direct evaluation of the compiled program does not.)
-		met, err := se.loopMetrics(env)
+		if err := se.tf.fill(se.slot, hold, op, cin); err != nil {
+			return m, fmt.Errorf("hybrid: numeric TF: %w", err)
+		}
+		met, err := se.loopMetrics()
 		if err != nil {
 			return m, fmt.Errorf("hybrid: numeric TF: %w", err)
 		}
@@ -272,6 +355,10 @@ func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (M
 		m.CrossoverHz = met.crossover
 		m.PhaseMargin = met.pm
 	case SimOnly:
+		loop, err := st.LoopCircuit(cin)
+		if err != nil {
+			return m, err
+		}
 		ac, err := sim.AC(loop, op, sim.ACOpts{FStart: 1e3, FStop: 100e9, PointsPerDecade: 40})
 		if err != nil {
 			return m, fmt.Errorf("hybrid: AC sweep: %w", err)
@@ -280,14 +367,15 @@ func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (M
 		if err != nil {
 			return m, err
 		}
-		vals := make([]complex128, len(h))
-		for i := range h {
-			vals[i] = -h[i] // loop gain T = −V(fb)
+		var fold loopFold
+		for i, f := range ac.Freqs {
+			if fold.add(f, -h[i]) { // loop gain T = −V(fb)
+				break
+			}
 		}
-		met := loopMetricsFrom(ac.Freqs, vals)
-		m.LoopGain0 = met.gain0
-		m.CrossoverHz = met.crossover
-		m.PhaseMargin = met.pm
+		m.LoopGain0 = fold.met.gain0
+		m.CrossoverHz = fold.met.crossover
+		m.PhaseMargin = fold.met.pm
 	}
 	m.TFTime = time.Since(tTF)
 	m.AmpGain = m.LoopGain0 / beta
@@ -326,8 +414,8 @@ var outProbe = []string{mdac.NodeOut}
 // bindHold points the warm kernel at hold: compiled on the first
 // evaluation, rebound after that. A hold circuit that no longer matches
 // the compiled structure (a topology change) gets a fresh compile, and
-// the loop transfer function cached for the old topology is dropped
-// with the old kernel.
+// the loop transfer function bound for the old topology is dropped with
+// the old kernel.
 func (se *StageEvaluator) bindHold(hold *netlist.Circuit) error {
 	if se.kern != nil && se.kern.Bind(hold) == nil {
 		return nil
@@ -337,7 +425,7 @@ func (se *StageEvaluator) bindHold(hold *netlist.Circuit) error {
 		return err
 	}
 	if se.kern != nil {
-		se.prog = nil
+		se.tf = nil
 	}
 	se.kern = k
 	return nil
@@ -347,98 +435,77 @@ type loopMet struct {
 	gain0, crossover, pm float64
 }
 
-// loopMetrics extracts the loop-gain metrics from the cached program with
+// loopMetrics extracts the loop-gain metrics from the bound program with
 // an adaptive two-pass sweep: a coarse pass brackets the unity crossing,
 // a fine pass around it pins down the crossover and phase margin.
-func (se *StageEvaluator) loopMetrics(env map[string]float64) (loopMet, error) {
-	coarseF, coarseV, err := se.sweepProgram(env, 1e3, 100e9, 8)
+func (se *StageEvaluator) loopMetrics() (loopMet, error) {
+	met, err := se.sweepProgram(1e3, 100e9, 8)
+	if err != nil || !(met.crossover > 0) {
+		return met, err
+	}
+	fine, err := se.sweepProgram(met.crossover/3, met.crossover*3, 40)
 	if err != nil {
 		return loopMet{}, err
 	}
-	negate(coarseV) // loop gain T = −V(fb)/V(drive)
-	met := loopMetricsFrom(coarseF, coarseV)
-	if met.crossover > 0 {
-		lo := met.crossover / 3
-		hi := met.crossover * 3
-		fineF, fineV, err := se.sweepProgram(env, lo, hi, 40)
-		if err != nil {
-			return loopMet{}, err
-		}
-		negate(fineV)
-		fine := loopMetricsFrom(fineF, fineV)
-		if fine.crossover > 0 {
-			met.crossover = fine.crossover
-			met.pm = fine.pm
-		}
+	if fine.crossover > 0 {
+		met.crossover, met.pm = fine.crossover, fine.pm
 	}
 	return met, nil
 }
 
-func negate(v []complex128) {
-	for i := range v {
-		v[i] = -v[i]
-	}
-}
-
-// sweepProgram evaluates the cached transfer-function program over a
-// log-frequency grid — the "numerical transfer function" leg of the
-// hybrid evaluator.
-func (se *StageEvaluator) sweepProgram(env map[string]float64, fLo, fHi float64, ppd int) ([]float64, []complex128, error) {
-	slot := make([]complex128, len(se.vars))
-	for i, name := range se.vars {
-		if i == se.sIdx {
-			continue
-		}
-		v, ok := env[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("hybrid: environment missing %q", name)
-		}
-		slot[i] = complex(v, 0)
-	}
+// sweepProgram folds the bound program's loop gain T = −V(fb)/V(drive)
+// over a log-frequency grid — the "numerical transfer function" leg of
+// the hybrid evaluator — and stops at the first unity crossing, past
+// which the fold reads nothing.
+func (se *StageEvaluator) sweepProgram(fLo, fHi float64, ppd int) (loopMet, error) {
 	decades := math.Log10(fHi / fLo)
 	n := int(decades*float64(ppd)) + 1
 	if n < 2 {
 		n = 2
 	}
-	freqs := make([]float64, n)
-	vals := make([]complex128, n)
+	var fold loopFold
 	for i := 0; i < n; i++ {
 		f := fLo * math.Pow(10, decades*float64(i)/float64(n-1))
-		freqs[i] = f
-		slot[se.sIdx] = complex(0, 2*math.Pi*f)
-		v, err := se.prog.EvalCInto(&se.buf, slot)
+		se.slot[se.tf.sIdx] = complex(0, 2*math.Pi*f)
+		v, err := se.tf.prog.EvalCInto(&se.buf, se.slot)
 		if err != nil {
-			return nil, nil, err
+			return loopMet{}, err
 		}
-		vals[i] = v
+		if fold.add(f, -v) {
+			break
+		}
 	}
-	return freqs, vals, nil
+	return fold.met, nil
 }
 
-// loopMetricsFrom extracts the DC loop gain, unity crossover and phase
-// margin from sampled loop-gain data (phase unwrapped across the sweep).
-func loopMetricsFrom(freqs []float64, vals []complex128) loopMet {
-	var met loopMet
-	if len(vals) == 0 {
-		return met
-	}
-	met.gain0 = cmplxAbs(vals[0])
-	prevMag := cmplxAbs(vals[0])
-	prevPhase := math.Atan2(imag(vals[0]), real(vals[0])) * 180 / math.Pi
-	for i := 1; i < len(vals); i++ {
-		mag := cmplxAbs(vals[i])
-		phase := math.Atan2(imag(vals[i]), real(vals[i])) * 180 / math.Pi
-		for phase-prevPhase > 180 {
+// loopFold extracts the DC loop gain, the first unity crossover and the
+// phase margin there from loop-gain samples added in frequency order,
+// unwrapping the phase from sample to sample.
+type loopFold struct {
+	met                       loopMet
+	started                   bool
+	prevF, prevMag, prevPhase float64
+}
+
+// add folds in the sample v at frequency f. It reports true once the
+// first crossing is found: no later sample changes the result.
+func (fd *loopFold) add(f float64, v complex128) bool {
+	mag := cmplxAbs(v)
+	phase := math.Atan2(imag(v), real(v)) * 180 / math.Pi
+	if !fd.started {
+		fd.started, fd.met.gain0 = true, mag
+	} else {
+		for phase-fd.prevPhase > 180 {
 			phase -= 360
 		}
-		for phase-prevPhase < -180 {
+		for phase-fd.prevPhase < -180 {
 			phase += 360
 		}
-		if met.crossover == 0 && prevMag >= 1 && mag < 1 {
-			frac := (prevMag - 1) / (prevMag - mag)
-			lf := math.Log10(freqs[i-1]) + frac*(math.Log10(freqs[i])-math.Log10(freqs[i-1]))
-			met.crossover = math.Pow(10, lf)
-			phAt := prevPhase + frac*(phase-prevPhase)
+		if fd.met.crossover == 0 && fd.prevMag >= 1 && mag < 1 {
+			frac := (fd.prevMag - 1) / (fd.prevMag - mag)
+			lf := math.Log10(fd.prevF) + frac*(math.Log10(f)-math.Log10(fd.prevF))
+			fd.met.crossover = math.Pow(10, lf)
+			phAt := fd.prevPhase + frac*(phase-fd.prevPhase)
 			pm := 180 + phAt
 			for pm > 360 {
 				pm -= 360
@@ -446,11 +513,11 @@ func loopMetricsFrom(freqs []float64, vals []complex128) loopMet {
 			for pm < -360 {
 				pm += 360
 			}
-			met.pm = pm
+			fd.met.pm = pm
 		}
-		prevMag, prevPhase = mag, phase
 	}
-	return met
+	fd.prevF, fd.prevMag, fd.prevPhase = f, mag, phase
+	return fd.met.crossover != 0
 }
 
 func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }

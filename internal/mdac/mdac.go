@@ -29,6 +29,10 @@ const (
 	NodeDrv  = "inn" // driven amplifier input in the broken-loop netlist
 )
 
+// ElemCin names the broken-loop netlist's copy of the amplifier input
+// capacitance (see LoopCircuit).
+const ElemCin = "cin"
+
 // VCM is the input/output common-mode bias. With an NMOS-input two-stage
 // amplifier on a 3.3 V rail, 1.4 V keeps the pair, the tail sink and both
 // output devices comfortably saturated.
@@ -164,7 +168,7 @@ func (st Stage) LoopCircuit(cin float64) (*netlist.Circuit, error) {
 	})
 	if cin > 0 {
 		c.MustAdd(&netlist.Element{
-			Name: "cin", Type: netlist.Capacitor,
+			Name: ElemCin, Type: netlist.Capacitor,
 			Nodes: []string{NodeFB, "0"}, Value: cin,
 		})
 	}

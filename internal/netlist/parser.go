@@ -11,7 +11,10 @@ import (
 // Supported cards: R, C, V, I, E, G, M, S elements; .model; .param;
 // .subckt/.ends with X instantiation (flattened, nested allowed); '*' and
 // ';' comments; '+' continuation lines. The first line is the title unless
-// it parses as a card. Parameter references use {name} after .param.
+// it parses as a card; a deck of one line must be a card. A card's type is
+// the first letter of its name's last dot-separated part, so a flattened
+// element such as "x1.r1" reads back as the resistor it is. Parameter
+// references use {name} after .param.
 func Parse(src string) (*Circuit, error) {
 	p := &parser{
 		params:  map[string]float64{},
@@ -28,6 +31,15 @@ type parser struct {
 func (p *parser) parse(src string) (*Circuit, error) {
 	lines := joinContinuations(src)
 	c := New("")
+	// asTitle takes line i, which failed as a card, as the title instead
+	// when it is the first line and another line follows.
+	asTitle := func(i int, raw string) bool {
+		if i != 0 || strings.TrimSpace(strings.Join(lines[1:], "")) == "" {
+			return false
+		}
+		c.Title = strings.TrimSpace(raw)
+		return true
+	}
 	var curSub *Subckt // non-nil while inside .subckt
 	var topInsts []*Inst
 
@@ -35,7 +47,7 @@ func (p *parser) parse(src string) (*Circuit, error) {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "*") {
 			if i == 0 && line != "" {
-				c.Title = strings.TrimPrefix(line, "*")
+				c.Title = strings.TrimSpace(strings.TrimPrefix(line, "*"))
 			}
 			continue
 		}
@@ -77,9 +89,12 @@ func (p *parser) parse(src string) (*Circuit, error) {
 		case strings.HasPrefix(head, "."):
 			// Analysis cards (.op/.ac/.tran) are handled by the CLI, not
 			// the circuit model; skip silently.
-		case head[0] == 'x':
+		case cardLetter(head) == 'x':
 			inst, err := p.parseInst(fields)
 			if err != nil {
+				if asTitle(i, raw) {
+					continue
+				}
 				return nil, fmt.Errorf("line %d: %v", i+1, err)
 			}
 			if curSub != nil {
@@ -90,6 +105,9 @@ func (p *parser) parse(src string) (*Circuit, error) {
 		default:
 			e, err := p.parseElement(fields)
 			if err != nil {
+				if asTitle(i, raw) {
+					continue
+				}
 				return nil, fmt.Errorf("line %d: %v", i+1, err)
 			}
 			if curSub != nil {
@@ -225,9 +243,10 @@ func (p *parser) parseElement(fields []string) (*Element, error) {
 	name := strings.ToLower(fields[0])
 	args := lowerAll(fields[1:])
 	e := &Element{Name: name}
-	switch name[0] {
+	letter := cardLetter(name)
+	switch letter {
 	case 'r', 'c':
-		if name[0] == 'r' {
+		if letter == 'r' {
 			e.Type = Resistor
 		} else {
 			e.Type = Capacitor
@@ -245,7 +264,7 @@ func (p *parser) parseElement(fields []string) (*Element, error) {
 			return nil, err
 		}
 	case 'v', 'i':
-		if name[0] == 'v' {
+		if letter == 'v' {
 			e.Type = VSource
 		} else {
 			e.Type = ISource
@@ -260,7 +279,7 @@ func (p *parser) parseElement(fields []string) (*Element, error) {
 		}
 		e.Src = src
 	case 'e', 'g':
-		if name[0] == 'e' {
+		if letter == 'e' {
 			e.Type = VCVS
 		} else {
 			e.Type = VCCS
@@ -467,6 +486,16 @@ func joinContinuations(src string) []string {
 		}
 	}
 	return out
+}
+
+// cardLetter is the letter that gives a card named name its type: the
+// first of the name's last dot-separated part. A name that does not
+// start with a letter keeps its first byte, so Parse rejects it.
+func cardLetter(name string) byte {
+	if i := strings.LastIndexByte(name, '.'); i >= 0 && i+1 < len(name) && name[0] >= 'a' && name[0] <= 'z' {
+		return name[i+1]
+	}
+	return name[0]
 }
 
 func lowerAll(ss []string) []string {

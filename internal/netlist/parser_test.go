@@ -462,3 +462,71 @@ S1 d b swm phase=2
 		t.Fatalf("re-parse: %v\n%s", err, out)
 	}
 }
+
+// TestParseTitle: a '*' title loses the space after the star, so a
+// String round trip leaves it alone; a plain first line that is not a
+// card is the title when more lines follow, and a card error when it is
+// the whole deck.
+func TestParseTitle(t *testing.T) {
+	for deck, want := range map[string]string{
+		"* 000\n.end\n":               "000",
+		"*\trc  lowpass \nR1 a 0 1\n": "rc  lowpass",
+		"rc filter\nR1 a 0 1k\n":      "rc filter",
+		"x y\n* comment\n":            "x y",
+	} {
+		c, err := Parse(deck)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", deck, err)
+		}
+		if c.Title != want {
+			t.Fatalf("Parse(%q) title %q, want %q", deck, c.Title, want)
+		}
+		c2, err := Parse(c.String())
+		if err != nil || c2.Title != want {
+			t.Fatalf("round trip of %q: title %q, err %v", deck, c2.Title, err)
+		}
+	}
+	if _, err := Parse("rc filter\n"); err == nil {
+		t.Fatal("a one-line deck that is not a card should fail")
+	}
+}
+
+// TestFlattenedNamesRoundTrip: a flattened subcircuit element keeps its
+// type through String and Parse, as do the dotted names the MDAC builders
+// give amplifier devices.
+func TestFlattenedNamesRoundTrip(t *testing.T) {
+	deck := "* h\n.subckt cell a b\nR1 a b 1k\nM1 a b 0 0 nch\n.ends\nX1 in 0 cell\nA.M2 in in 0 0 nch\n.model nch nmos ()\n"
+	c, err := Parse(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Parse(c.String())
+	if err != nil {
+		t.Fatalf("re-parse: %v\n%s", err, c)
+	}
+	for _, e := range c.Elements {
+		if e2 := c2.Find(e.Name); e2 == nil || e2.Type != e.Type {
+			t.Fatalf("%s (%v) came back as %+v", e.Name, e.Type, e2)
+		}
+	}
+}
+
+// FuzzParse: a deck Parse accepts renders, through String, to a deck it
+// accepts again, and one round trip reaches String's fixed point. The
+// seed corpus is in testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, deck string) {
+		c, err := Parse(deck)
+		if err != nil {
+			return
+		}
+		once := c.String()
+		c2, err := Parse(once)
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q): %v", once, deck, err)
+		}
+		if twice := c2.String(); twice != once {
+			t.Fatalf("String is not a fixed point after one round trip:\nonce  %q\ntwice %q", once, twice)
+		}
+	})
+}

@@ -75,7 +75,12 @@ done:
 	}
 	for _, sc := range scales {
 		if strings.HasPrefix(rest, sc.suffix) {
-			return v * sc.mult, nil
+			// A scaled value past float64's range is an error, as an
+			// unscaled one is in strconv.ParseFloat.
+			if x := v * sc.mult; !math.IsInf(x, 0) {
+				return x, nil
+			}
+			return 0, fmt.Errorf("units: %q overflows float64", s)
 		}
 	}
 	// No scale suffix: the remainder must be unit letters only.

@@ -51,7 +51,7 @@ func TestParseBasics(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "abc", "--1", "1..2", "  ", "1 2", "1?"} {
+	for _, in := range []string{"", "abc", "--1", "1..2", "  ", "1 2", "1?", "1e308k", "-2e303meg"} {
 		if v, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) = %g, want error", in, v)
 		}
