@@ -28,6 +28,10 @@ lane_race() {
     # tests under the race detector (stalled evaluators, injected panics,
     # deadline teardowns across the scheduler/synthesis/core stack).
     "$GO" test -race -run 'Cancel|Fault|Leak' ./...
+    # Scheduler lane: the DAG runner's looping workers (no idle slot,
+    # seeded random DAGs on 1-8 workers, drains, panics) ten times over
+    # under the race detector, since each run interleaves differently.
+    "$GO" test -race -count=10 -run 'Run' ./internal/sched
     # Service lane: the full adcsynd job-manager/HTTP suite under the race
     # detector (queue backpressure, single-flight dedup, NDJSON streaming,
     # drain) — the raciest code in the tree.
@@ -53,9 +57,11 @@ lane_race() {
     # reuse-vs-full-Newton tolerance, ordered-pivot equivalence,
     # warm-kernel isolation (rebound kernel and evaluator bitwise equal to
     # a cold compile), and shared loop transfer function (eight evaluators
-    # racing to its first compile, bitwise equal to serial) tests under the
-    # race detector — the correctness contract of the fast path.
-    "$GO" test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot|Warm|SharedLoopTF' \
+    # racing to its first compile, bitwise equal to serial) and transient
+    # Newton cycle-cut (bitwise equal to running every loop to MaxNewton)
+    # tests under the race detector — the correctness contract of the
+    # fast path.
+    "$GO" test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot|Warm|SharedLoopTF|CycleCut' \
         ./internal/la ./internal/sim ./internal/hybrid ./internal/synth
 }
 

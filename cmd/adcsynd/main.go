@@ -76,38 +76,68 @@ import (
 	"pipesyn/internal/synth"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "synthesis worker budget shared by all jobs (0 = all cores)")
-	queueCap := flag.Int("queue", 16, "admission queue capacity (full queue answers 429)")
-	executors := flag.Int("executors", 1, "studies running concurrently (each fans out on the shared workers)")
-	cacheDir := flag.String("cache-dir", "", "content-addressed synthesis cache directory (empty = memory only)")
-	cacheEntries := flag.Int("cache-entries", 0, "in-memory cache entries (0 = default)")
-	stateDir := flag.String("state-dir", "", "job journal directory for crash recovery (empty = in-memory jobs only)")
-	retain := flag.Int("retain", 256, "terminal jobs kept queryable before eviction")
-	retainAge := flag.Duration("retain-age", time.Hour, "terminal jobs older than this are evicted (0 = no age bound)")
-	jobTimeout := flag.Duration("job-timeout", 0, "wall-clock budget per study (0 = unlimited)")
-	raceDefault := flag.Bool("race-default", false, "run every submitted study under the successive-halving racing scheduler unless the request asked itself")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight jobs on shutdown")
-	pprofAddr := flag.String("pprof", "", "loopback address for net/http/pprof, e.g. 127.0.0.1:6060 (empty = off)")
-	nodeURL := flag.String("node", "", "this node's advertised URL in cluster mode, e.g. http://10.0.0.3:8080 (empty = single node)")
-	peerURLs := flag.String("peers", "", "comma-separated peer URLs (cluster membership; self is implied)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per peer on the hash ring (0 = default 64)")
-	lease := flag.Duration("lease", 10*time.Second, "job claim lease; a dead owner's jobs move after this expires")
-	heartbeat := flag.Duration("heartbeat", time.Second, "peer health probe interval")
-	metricsAggregate := flag.Bool("metrics-aggregate", false, "probe all peers at /metrics scrape time for fresh per-peer gauges")
-	flag.Parse()
+// options is adcsynd's command line: the service and cluster
+// configuration it maps to, which main completes with the cache, the
+// journal and the cluster logger, and the process's own settings. A
+// zero cluster.Self means a single node.
+type options struct {
+	addr         string
+	cacheDir     string
+	cacheEntries int
+	stateDir     string
+	drainTimeout time.Duration
+	pprofAddr    string
+	service      service.Config
+	cluster      cluster.Config
+}
 
-	*nodeURL = strings.TrimRight(strings.TrimSpace(*nodeURL), "/")
-	if *nodeURL == "" && *peerURLs != "" {
-		fatal(fmt.Errorf("-peers requires -node (this node's advertised URL)"))
+// parseFlags parses the command line (without the program name). A
+// malformed command line exits like flag.Parse (usage, status 2).
+func parseFlags(args []string) (options, error) {
+	var o options
+	sc, cc := &o.service, &o.cluster
+	fs := flag.NewFlagSet("adcsynd", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&sc.Workers, "workers", 0, "synthesis worker budget shared by all jobs (0 = all cores)")
+	fs.IntVar(&sc.QueueCap, "queue", 16, "admission queue capacity (full queue answers 429)")
+	fs.IntVar(&sc.Executors, "executors", 1, "studies running concurrently (each fans out on the shared workers)")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed synthesis cache directory (empty = memory only)")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 0, "in-memory cache entries (0 = default)")
+	fs.StringVar(&o.stateDir, "state-dir", "", "job journal directory for crash recovery (empty = in-memory jobs only)")
+	fs.IntVar(&sc.Retain, "retain", 256, "terminal jobs kept queryable before eviction")
+	fs.DurationVar(&sc.RetainAge, "retain-age", time.Hour, "terminal jobs older than this are evicted (0 = no age bound)")
+	fs.DurationVar(&sc.JobTimeout, "job-timeout", 0, "wall-clock budget per study (0 = unlimited)")
+	fs.BoolVar(&sc.DefaultRace, "race-default", false, "run every submitted study under the successive-halving racing scheduler unless the request asked itself")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "grace for in-flight jobs on shutdown")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "loopback address for net/http/pprof, e.g. 127.0.0.1:6060 (empty = off)")
+	fs.StringVar(&cc.Self, "node", "", "this node's advertised URL in cluster mode, e.g. http://10.0.0.3:8080 (empty = single node)")
+	peers := fs.String("peers", "", "comma-separated peer URLs (cluster membership; self is implied)")
+	fs.IntVar(&cc.VirtualNodes, "vnodes", 0, "virtual nodes per peer on the hash ring (0 = default 64)")
+	fs.DurationVar(&cc.LeaseDuration, "lease", 10*time.Second, "job claim lease; a dead owner's jobs move after this expires")
+	fs.DurationVar(&cc.HeartbeatEvery, "heartbeat", time.Second, "peer health probe interval")
+	fs.BoolVar(&cc.AggregateMetrics, "metrics-aggregate", false, "probe all peers at /metrics scrape time for fresh per-peer gauges")
+	fs.Parse(args) // ExitOnError: never returns an error
+
+	cc.Self = strings.TrimRight(strings.TrimSpace(cc.Self), "/")
+	if cc.Self == "" && *peers != "" {
+		return o, fmt.Errorf("-peers requires -node (this node's advertised URL)")
+	}
+	cc.Peers = splitPeers(*peers)
+	sc.NodeID = cc.Self
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fatal(err)
 	}
 
 	// Profiling is served on its own loopback listener with a dedicated
 	// mux: the debug surface never shares a port (or a handler tree) with
 	// the public API, so exposing -addr does not expose pprof.
-	if *pprofAddr != "" {
-		ln, err := net.Listen("tcp", *pprofAddr)
+	if o.pprofAddr != "" {
+		ln, err := net.Listen("tcp", o.pprofAddr)
 		if err != nil {
 			fatal(fmt.Errorf("pprof listen: %w", err))
 		}
@@ -127,29 +157,19 @@ func main() {
 
 	// The cache is always on: request dedup across time is the service's
 	// whole economy. -cache-dir adds the persistent tier.
-	cache, err := synth.NewCache(*cacheEntries, *cacheDir)
+	cache, err := synth.NewCache(o.cacheEntries, o.cacheDir)
 	if err != nil {
 		fatal(err)
 	}
 	var journal *service.Journal
-	if *stateDir != "" {
-		if journal, err = service.OpenJournal(*stateDir); err != nil {
+	if o.stateDir != "" {
+		if journal, err = service.OpenJournal(o.stateDir); err != nil {
 			fatal(err)
 		}
 		defer journal.Close()
 	}
-	man := service.NewManager(service.Config{
-		Workers:     *workers,
-		QueueCap:    *queueCap,
-		Executors:   *executors,
-		JobTimeout:  *jobTimeout,
-		DefaultRace: *raceDefault,
-		Cache:       cache,
-		Journal:     journal,
-		Retain:      *retain,
-		RetainAge:   *retainAge,
-		NodeID:      *nodeURL,
-	})
+	o.service.Cache, o.service.Journal = cache, journal
+	man := service.NewManager(o.service)
 	if journal != nil {
 		stats, err := man.Recover()
 		if err != nil {
@@ -165,18 +185,11 @@ func main() {
 	local := service.NewServer(man)
 	var handler http.Handler = local
 	var node *cluster.Node
-	if *nodeURL != "" {
-		node, err = cluster.NewNode(cluster.Config{
-			Self:             *nodeURL,
-			Peers:            splitPeers(*peerURLs),
-			VirtualNodes:     *vnodes,
-			LeaseDuration:    *lease,
-			HeartbeatEvery:   *heartbeat,
-			AggregateMetrics: *metricsAggregate,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "adcsynd: "+format+"\n", args...)
-			},
-		}, man, cache, local)
+	if o.cluster.Self != "" {
+		o.cluster.Logf = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "adcsynd: "+format+"\n", args...)
+		}
+		node, err = cluster.NewNode(o.cluster, man, cache, local)
 		if err != nil {
 			fatal(err)
 		}
@@ -187,9 +200,9 @@ func main() {
 		node.Start()
 		handler = node
 		fmt.Fprintf(os.Stderr, "adcsynd: cluster mode: %d peers, %d vnodes, lease %s\n",
-			node.Ring().Len(), node.Ring().VNodes(), *lease)
+			node.Ring().Len(), node.Ring().VNodes(), o.cluster.LeaseDuration)
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Addr: o.addr, Handler: handler}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -197,7 +210,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "adcsynd: listening on %s (workers=%d queue=%d executors=%d)\n",
-		*addr, *workers, *queueCap, *executors)
+		o.addr, o.service.Workers, o.service.QueueCap, o.service.Executors)
 
 	select {
 	case err := <-errc:
@@ -205,8 +218,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	fmt.Fprintf(os.Stderr, "adcsynd: draining (grace %s)\n", *drainTimeout)
-	man.Drain(*drainTimeout)
+	fmt.Fprintf(os.Stderr, "adcsynd: draining (grace %s)\n", o.drainTimeout)
+	man.Drain(o.drainTimeout)
 	if node != nil {
 		// After the drain every job is terminal: release the replicas so
 		// successors do not resurrect drained work, then stop the loops.

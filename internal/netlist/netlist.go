@@ -220,8 +220,9 @@ func (c *Circuit) Find(name string) *Element {
 	return nil
 }
 
-// String renders the circuit as a deck, round-trippable through Parse for
-// the element types this package defines.
+// String renders the circuit as a deck that Parse reads back into an
+// equal circuit, source waveforms included, for the element types this
+// package defines.
 func (c *Circuit) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "* %s\n", c.Title)
@@ -233,10 +234,27 @@ func (c *Circuit) String() string {
 		case MOS, Switch:
 			fmt.Fprintf(&b, " %s", e.Model)
 		case VSource, ISource:
-			if e.Src != nil {
-				fmt.Fprintf(&b, " DC %g", e.Src.DC)
-				if e.Src.ACMag != 0 {
-					fmt.Fprintf(&b, " AC %g %g", e.Src.ACMag, e.Src.ACPhase)
+			if s := e.Src; s != nil {
+				fmt.Fprintf(&b, " DC %g", s.DC)
+				if s.ACMag != 0 || s.ACPhase != 0 {
+					fmt.Fprintf(&b, " AC %g %g", s.ACMag, s.ACPhase)
+				}
+				switch s.Kind {
+				case SrcSin:
+					w := s.Sin
+					fmt.Fprintf(&b, " SIN(%g %g %g %g %g)", w.VO, w.VA, w.Freq, w.Delay, w.Phase)
+				case SrcPulse:
+					w := s.Pulse
+					fmt.Fprintf(&b, " PULSE(%g %g %g %g %g %g %g)", w.V1, w.V2, w.TD, w.TR, w.TF, w.PW, w.PER)
+				case SrcPWL:
+					b.WriteString(" PWL(")
+					for i, pt := range s.PWL {
+						if i > 0 {
+							b.WriteByte(' ')
+						}
+						fmt.Fprintf(&b, "%g %g", pt.T, pt.V)
+					}
+					b.WriteByte(')')
 				}
 			}
 		}

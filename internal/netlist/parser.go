@@ -320,7 +320,8 @@ func (p *parser) parseElement(fields []string) (*Element, error) {
 }
 
 // parseSource handles "DC v", "AC mag [phase]", "SIN(...)", "PULSE(...)",
-// "PWL(...)" and bare numeric DC values, in any order.
+// "PWL(...)" and bare numeric DC values, in any order, with at most one
+// of the three waveforms.
 func (p *parser) parseSource(args []string) (*Source, error) {
 	s := &Source{}
 	// Re-tokenize so parentheses separate cleanly: "sin(0" → "sin ( 0".
@@ -362,6 +363,9 @@ func (p *parser) parseSource(args []string) (*Source, error) {
 		t, ok := next()
 		if !ok {
 			break
+		}
+		if (t == "sin" || t == "pulse" || t == "pwl") && s.Kind != SrcDC {
+			return nil, fmt.Errorf("%s after another waveform: a source takes one", strings.ToUpper(t))
 		}
 		switch t {
 		case "dc":

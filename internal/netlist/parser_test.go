@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -299,6 +300,7 @@ func TestParseErrors(t *testing.T) {
 		"V1 a 0 SIN(1 2)\n",   // SIN too short
 		"V1 a 0 PULSE(1 2)\n", // PULSE too short
 		"V1 a 0 PWL(1 2 3)\n", // odd PWL
+		"V1 a 0 SIN(0 1 1meg) PULSE(0 1 0 1n 1n 5n 10n)\n", // two waveforms
 		"R1 a 0 1k extra\n",   // non key=value trailing
 		".param broken\n",     // bad param syntax
 		"V1 a 0 banana\n",     // bad source token
@@ -511,9 +513,36 @@ func TestFlattenedNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzParse: a deck Parse accepts renders, through String, to a deck it
-// accepts again, and one round trip reaches String's fixed point. The
-// seed corpus is in testdata/fuzz/FuzzParse.
+// TestStringKeepsSourceWaveforms: SIN, PULSE and PWL sources come back
+// from a String round trip with their kind and every parameter.
+func TestStringKeepsSourceWaveforms(t *testing.T) {
+	deck := `* sources
+V1 a 0 PULSE(0 1 1n 0.1n 0.1n 5n 10n)
+V2 b 0 DC 0.5 AC 0 90 PWL(0 0 1n 1 2n 0.5)
+I1 0 c SIN(0.1 1m 1meg 2n 45)
+R1 a b 1k
+C1 b 0 1p
+R2 c 0 1k
+`
+	c, err := Parse(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Parse(c.String())
+	if err != nil {
+		t.Fatalf("re-parse: %v\n%s", err, c)
+	}
+	for i, kind := range []SourceKind{SrcPulse, SrcPWL, SrcSin} {
+		if src := c2.Elements[i].Src; src.Kind != kind || !reflect.DeepEqual(src, c.Elements[i].Src) {
+			t.Fatalf("%s came back as %+v, was %+v:\n%s", c.Elements[i].Name, *src, *c.Elements[i].Src, c)
+		}
+	}
+}
+
+// FuzzParse: a deck Parse accepts renders, through String, to a deck
+// that parses back into an equal circuit, element by element and model
+// by model, and one round trip reaches String's fixed point. The seed
+// corpus is in testdata/fuzz/FuzzParse.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, deck string) {
 		c, err := Parse(deck)
@@ -524,6 +553,14 @@ func FuzzParse(f *testing.F) {
 		c2, err := Parse(once)
 		if err != nil {
 			t.Fatalf("re-parse of %q (from %q): %v", once, deck, err)
+		}
+		if c2.Title != c.Title || len(c2.Elements) != len(c.Elements) || !reflect.DeepEqual(c2.Models, c.Models) {
+			t.Fatalf("re-parse of %q (from %q) changed the title, element count or models", once, deck)
+		}
+		for i, e := range c.Elements {
+			if e2 := c2.Elements[i]; !reflect.DeepEqual(e2, e) {
+				t.Fatalf("element %d came back as %+v %+v, was %+v %+v (deck %q)", i, *e2, e2.Src, *e, e.Src, deck)
+			}
 		}
 		if twice := c2.String(); twice != once {
 			t.Fatalf("String is not a fixed point after one round trip:\nonce  %q\ntwice %q", once, twice)

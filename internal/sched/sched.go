@@ -16,9 +16,10 @@
 // Deadlock freedom under nesting (a sweep running studies, each study
 // running design points, each design point running restarts, all on one
 // Pool) comes from a simple rule: no caller ever blocks waiting for a
-// token. A worker slot is acquired with TryAcquire only, and the calling
-// goroutine always executes work itself, so forward progress never
-// depends on a token being released.
+// token. A worker slot is acquired with TryAcquire only, the calling
+// goroutine always executes work itself, and a helper keeps its slot
+// only while it finds ready work, so forward progress never depends on
+// a token being released.
 //
 // sched is also the engine's fault boundary. Both ForEach and Run accept
 // a context: cancellation stops new work from dispatching (in-flight
@@ -198,6 +199,12 @@ type Node struct {
 // pool.Workers() nodes in flight. Ready nodes dispatch lowest-index
 // first, so a 1-worker pool reproduces the serial schedule exactly.
 //
+// Every worker loops — the caller, and each helper holding a pool slot:
+// it takes the lowest-index ready node under one lock, runs it outside
+// the lock, and takes the next, so no slot idles while a node is ready.
+// A helper returns its slot when none is ready; the caller waits for
+// in-flight nodes, and Run returns once every helper has returned.
+//
 // Once any node fails, no further nodes start (in-flight ones finish);
 // Run returns the error of the lowest-index failed node, which is
 // deterministic regardless of worker count. Cancelling ctx likewise
@@ -267,12 +274,14 @@ func Run(ctx context.Context, pool *Pool, nodes []Node) error {
 		return nodes[i].Run(ctx)
 	}
 
+	var mu sync.Mutex         // guards the ready set, left and failed
+	wake := sync.NewCond(&mu) // the caller waits on it for in-flight nodes
+	var helpers sync.WaitGroup
 	errs := make([]error, n)
-	done := make(chan int, n) // buffered: workers never block reporting
-	completed := 0
+	left := n // nodes not yet run or drained
 	failed := false
 	finish := func(i int) {
-		completed++
+		left--
 		if errs[i] != nil {
 			failed = true
 		}
@@ -283,45 +292,49 @@ func Run(ctx context.Context, pool *Pool, nodes []Node) error {
 				readyCount++
 			}
 		}
+		wake.Broadcast()
 	}
-
-	// Every edge points backwards (d < i), so the graph is acyclic and the
-	// dispatcher always finds either a ready node or an in-flight one
-	// until all n have finished.
-	inFlight := 0
-	for completed < n {
-		cancelled := ctx.Err() != nil
-		// Spawn helpers for ready nodes while the pool has spare slots.
-		for readyCount > 0 && !failed && !cancelled && pool.TryAcquire() {
+	var work func(helper bool)
+	work = func(helper bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		// Every edge points backwards (d < i), so the graph is acyclic: a
+		// worker finds a ready node whenever none is in flight.
+		for left > 0 {
 			i := popMin()
-			pool.queued.Add(-1)
-			inFlight++
-			go func(i int) {
-				defer pool.Release()
-				errs[i] = exec(i)
-				done <- i
-			}(i)
-		}
-		if readyCount > 0 {
-			// No spare slot (or aborting): the dispatcher works too.
-			// After a failure this branch drains the remaining nodes
-			// without running them; after a cancellation the drained
-			// nodes record ctx.Err() so the cause is never lost.
-			i := popMin()
-			pool.queued.Add(-1)
-			switch {
-			case !failed && !cancelled:
-				errs[i] = exec(i)
-			case cancelled:
-				errs[i] = ctx.Err()
+			if i < 0 {
+				if helper {
+					return
+				}
+				wake.Wait()
+				continue
 			}
+			pool.queued.Add(-1)
+			if err := ctx.Err(); failed || err != nil {
+				// Drain without running. After a cancellation the drained
+				// node records ctx.Err(), so the cause is never lost.
+				errs[i] = err
+				finish(i)
+				continue
+			}
+			// Start a helper for each other ready node while the pool has
+			// spare slots; one that finds none ready returns its slot.
+			for readyCount > 0 && pool.TryAcquire() {
+				helpers.Add(1)
+				go func() {
+					defer helpers.Done()
+					defer pool.Release()
+					work(true)
+				}()
+			}
+			mu.Unlock()
+			errs[i] = exec(i) // only this worker writes errs[i]
+			mu.Lock()
 			finish(i)
-			continue
 		}
-		i := <-done
-		inFlight--
-		finish(i)
 	}
+	work(false)
+	helpers.Wait()
 	return firstErr(errs)
 }
 

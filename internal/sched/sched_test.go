@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolDefaultsAndBounds(t *testing.T) {
@@ -208,4 +212,130 @@ func TestRunManyNodesUnderRace(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprint(results[n-1])
+}
+
+// TestRunKeepsEverySlotBusy: on a 2-worker pool running three
+// independent nodes, whichever running node finishes first, its worker
+// starts the third node while the other is still running.
+func TestRunKeepsEverySlotBusy(t *testing.T) {
+	for _, finishFirst := range []string{"lower", "higher"} {
+		t.Run(finishFirst, func(t *testing.T) {
+			started := make(chan int, 3)
+			release := [3]chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+			nodes := make([]Node, 3)
+			for i := range nodes {
+				i := i
+				nodes[i] = Node{Run: func(context.Context) error {
+					started <- i
+					<-release[i]
+					return nil
+				}}
+			}
+			done := make(chan error, 1)
+			go func() { done <- Run(context.Background(), NewPool(2), nodes) }()
+			a, b := <-started, <-started
+			if a > b {
+				a, b = b, a
+			}
+			first, other := a, b
+			if finishFirst == "higher" {
+				first, other = b, a
+			}
+			close(release[first])
+			select {
+			case third := <-started:
+				close(release[third])
+			case <-time.After(5 * time.Second):
+				t.Fatalf("node %d finished, node %d still runs, and the third node has not started", first, other)
+			}
+			close(release[other])
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRunRandomDAGs runs seeded random DAGs on 1, 2, 4 and 8 workers:
+// every node runs exactly once and never before its deps, one worker
+// runs them in the serial lowest-index-ready order, and every helper
+// slot is free again as soon as Run returns.
+func TestRunRandomDAGs(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		deps := make([][]int, n)
+		for i := range deps {
+			for d := 0; d < i; d++ {
+				if rng.Intn(4) == 0 {
+					deps[i] = append(deps[i], d)
+				}
+			}
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			var runs [64]atomic.Int32
+			var finished [64]atomic.Bool
+			var mu sync.Mutex
+			var order []int
+			nodes := make([]Node, n)
+			for i := range nodes {
+				i := i
+				nodes[i] = Node{Deps: deps[i], Run: func(context.Context) error {
+					for _, d := range deps[i] {
+						if !finished[d].Load() {
+							t.Errorf("seed %d, %d workers: node %d started before dep %d finished", seed, workers, i, d)
+						}
+					}
+					runs[i].Add(1)
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+					runtime.Gosched()
+					finished[i].Store(true)
+					return nil
+				}}
+			}
+			p := NewPool(workers)
+			if err := Run(context.Background(), p, nodes); err != nil {
+				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
+			}
+			for slot := 1; slot < workers; slot++ {
+				if !p.TryAcquire() {
+					t.Fatalf("seed %d, %d workers: helper slot %d still held after Run returned", seed, workers, slot)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("seed %d, %d workers: node %d ran %d times", seed, workers, i, got)
+				}
+			}
+			if workers == 1 && !reflect.DeepEqual(order, serialOrder(deps)) {
+				t.Fatalf("seed %d: 1-worker order %v, want %v", seed, order, serialOrder(deps))
+			}
+		}
+	}
+}
+
+// serialOrder is the 1-worker schedule: each node in turn is the
+// lowest-index one whose deps have all run.
+func serialOrder(deps [][]int) []int {
+	done := make([]bool, len(deps))
+	var order []int
+	for len(order) < len(deps) {
+		for i := range deps {
+			if done[i] {
+				continue
+			}
+			ready := true
+			for _, d := range deps[i] {
+				ready = ready && done[d]
+			}
+			if ready {
+				done[i] = true
+				order = append(order, i)
+				break
+			}
+		}
+	}
+	return order
 }

@@ -94,6 +94,10 @@ type compiled struct {
 	// factorization. Production analyses never set it; the equivalence
 	// tests compare the reuse path against it.
 	fullNewton bool
+	// noCycleCut is the package-internal oracle for the transient cycle
+	// cut: every failing Newton loop runs to MaxNewton. Production
+	// analyses never set it.
+	noCycleCut bool
 }
 
 // resolveDevices validates element values and resolves model cards into

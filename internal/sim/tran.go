@@ -151,6 +151,19 @@ type tranRun struct {
 	hHist     float64
 	histPhase int
 	histTrap  bool
+
+	// Cycle cut: a record of each iteration of the current Newton loop,
+	// and the entry states (dst, lastStep) of its fresh-factor ones.
+	iters  []newtonIter
+	states []float64
+}
+
+// newtonIter is one iteration's largest node update, and the offset of
+// its entry state in tranRun.states (-1 after a stale-factor solve).
+type newtonIter struct {
+	worst int
+	delta float64
+	state int
 }
 
 func newTranRun(cc *compiled, opts TranOpts, x0 []float64) *tranRun {
@@ -166,6 +179,10 @@ func newTranRun(cc *compiled, opts TranOpts, x0 []float64) *tranRun {
 			lu: newKernelLU(cc),
 		}
 		cc.trun = tr
+	}
+	if m := opts.MaxNewton; cap(tr.iters) < m {
+		tr.iters = make([]newtonIter, 0, m)
+		tr.states = make([]float64, 0, m*(cc.layout.Size+1))
 	}
 	tr.opts = opts
 	tr.haveFactor, tr.reuseCount, tr.lastPhase, tr.lastH = false, 0, 0, 0
@@ -253,16 +270,32 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 // damped step norm contracts; it is refreshed when convergence slows or
 // after several reuses. Without reuse every iteration refactors: the
 // divergence fallback and the full-Newton oracle.
+//
+// Everything from a fresh-factor iteration on depends only on its entry
+// dst and lastStep, and on kernelLU's pivot path. So when a fresh-factor
+// iteration enters an earlier one's state bit for bit and the path has
+// not changed in this loop, the loop cycles and cannot converge: it
+// returns at once the error of its last iteration, from the cycle's record.
 func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) error {
 	cc := tr.cc
 	l := cc.layout
 	worstIdx, worstDelta := -1, 0.0
 	lastStep, prevStep := math.Inf(1), math.Inf(1)
+	tr.iters, tr.states = tr.iters[:0], tr.states[:0]
+	ordered := tr.lu.useOrd
 	for it := 0; it < tr.opts.MaxNewton; it++ {
+		state := -1
 		// Refresh when not reusing, when no factorization is carried,
 		// after a bounded number of stale solves, or when the iteration
 		// stops contracting (the stale factor has drifted too far).
 		if !reuse || !tr.haveFactor || tr.reuseCount >= 50 || lastStep > 0.5*prevStep {
+			if k := tr.repeatOf(dst, lastStep); k >= 0 && tr.lu.useOrd == ordered && !cc.noCycleCut {
+				last := tr.iters[k+(tr.opts.MaxNewton-1-k)%(it-k)]
+				worstIdx, worstDelta = last.worst, last.delta
+				break
+			}
+			state = len(tr.states)
+			tr.states = append(append(tr.states, dst...), lastStep)
 			copy(tr.a.Data, tr.stepA.Data)
 			copy(tr.b, tr.stepB)
 			stampMOSTran(cc, tr.a, tr.b, dst, xFrom, h)
@@ -295,6 +328,7 @@ func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) er
 			}
 		}
 		worstIdx, worstDelta = maxIdx, maxStep
+		tr.iters = append(tr.iters, newtonIter{maxIdx, maxStep, state})
 		prevStep, lastStep = lastStep, maxStep
 		// Damp large Newton excursions (a hard residue step can throw
 		// devices across regions; full steps then oscillate).
@@ -318,6 +352,25 @@ func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) er
 		Analysis: "transient", Time: t, Iterations: tr.opts.MaxNewton,
 		WorstNode: worst, WorstDelta: worstDelta,
 	}
+}
+
+// repeatOf returns the earlier fresh-factor iteration of the current
+// Newton loop that entered with x and lastStep bit for bit, or -1.
+func (tr *tranRun) repeatOf(x []float64, lastStep float64) int {
+	for k, rec := range tr.iters {
+		if rec.state < 0 {
+			continue
+		}
+		s := tr.states[rec.state : rec.state+len(x)+1]
+		same := math.Float64bits(s[len(x)]) == math.Float64bits(lastStep)
+		for i := 0; same && i < len(x); i++ {
+			same = math.Float64bits(s[i]) == math.Float64bits(x[i])
+		}
+		if same {
+			return k
+		}
+	}
+	return -1
 }
 
 // residualTran evaluates the nonlinear step residual f(x) at x into r
