@@ -14,6 +14,9 @@ lane_vet() {
     test -z "$(gofmt -l $(git ls-files '*.go'))"
 }
 
+# Tier-1. `go test .` includes the reachability contract
+# (reach_test.go): it builds every command, example and pipebench, fails
+# on a non-test function none of them links, and runs every example.
 lane_test() {
     "$GO" build ./...
     "$GO" test ./...
@@ -22,7 +25,8 @@ lane_test() {
 lane_race() {
     # Short mode keeps the seconds-long hybrid studies out, while the
     # scheduler, cache, and parallel-study tests all still run under the
-    # detector.
+    # detector. It also skips the reachability contract, which races
+    # nothing and runs in the test lane.
     "$GO" test -race -short ./...
     # Robustness lane: the cancellation, fault-injection, and goroutine-leak
     # tests under the race detector (stalled evaluators, injected panics,
@@ -101,6 +105,8 @@ lane_bench_smoke() {
 # Benchmark-module lane: bench/ is its own Go module, so the root
 # `go build ./...` never compiles it; vet and short-test it here so an
 # internal API change cannot silently break the served-path benchmark.
+# The test lane's reachability contract builds pipebench too, so such a
+# break already fails tier-1; this lane adds vet and bench/'s own tests.
 lane_bench_check() {
     (cd bench && "$GO" vet . && "$GO" test -short .)
 }

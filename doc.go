@@ -8,12 +8,18 @@
 // optimization flow that ties them together.
 //
 // The public surface lives under internal/ packages by design — this
-// module is an experiment harness; the binaries in cmd/ and the programs
-// in examples/ are the supported entry points:
+// module is an experiment harness; the binaries in cmd/, the programs in
+// examples/ and pipebench in bench/ are the supported entry points:
 //
 //	cmd/adcsyn    full topology optimization for a target resolution
+//	cmd/adcsynd   the same studies served over HTTP, journaled, clusterable
 //	cmd/figgen    regenerate every figure of the paper
 //	cmd/spicelet  the underlying mini circuit simulator as a CLI
+//	examples/*    five runnable walkthroughs of the flow's parts
+//	bench/        pipebench, the served-path benchmark (its own module)
+//
+// reach_test.go holds the tree to them: a non-test function that none of
+// them links fails the tests.
 //
 // The benchmark suite at the repository root (bench_test.go) regenerates
 // each of the paper's figures and records the headline numbers; see

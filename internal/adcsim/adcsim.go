@@ -211,15 +211,6 @@ func (c *Converter) subADC(stage int, v float64, g int) int {
 	return d
 }
 
-// ConvertAll digitizes a sample vector.
-func (c *Converter) ConvertAll(samples []float64) []int {
-	out := make([]int, len(samples))
-	for i, v := range samples {
-		out[i] = c.Convert(v)
-	}
-	return out
-}
-
 // SineTest runs a coherent full-scale sine test and returns the codes as
 // normalized floats ready for dsp.SineTestMetrics. amplitude is relative
 // to full scale (use ~0.95 to avoid clipping the edges).

@@ -222,8 +222,8 @@ func TestConstructorErrors(t *testing.T) {
 
 func TestConvertAll(t *testing.T) {
 	c := ideal13(t)
-	codes := c.ConvertAll([]float64{-1, 0, 1})
-	if len(codes) != 3 || codes[0] >= codes[1] || codes[1] >= codes[2] {
+	codes := []int{c.Convert(-1), c.Convert(0), c.Convert(1)}
+	if codes[0] >= codes[1] || codes[1] >= codes[2] {
 		t.Fatalf("codes = %v", codes)
 	}
 }

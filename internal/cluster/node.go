@@ -580,13 +580,6 @@ func (n *Node) CachePush(key string, res *synth.Result) {
 	}
 }
 
-// PendingPushes reports queued-plus-inflight cache pushes (tests drain
-// on it).
-func (n *Node) PendingPushes() int64 { return n.pushPending.Load() }
-
-// Takeovers reports how many expired peer leases this node has claimed.
-func (n *Node) Takeovers() int64 { return n.takeovers.Load() }
-
 func (n *Node) pushLoop() {
 	for {
 		select {

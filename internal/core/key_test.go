@@ -32,7 +32,7 @@ func TestStudyKeyIgnoresExecutionKnobs(t *testing.T) {
 	exec.Synth.Cache = cache
 	exec.Synth.EvalHook = func(context.Context, int) error { return nil }
 	exec.Synth.Progress = func(synth.Progress) {}
-	exec.Synth.Workers = 5
+	exec.Synth.Pool = sched.NewPool(5)
 	if got := StudyKey(exec); got != key {
 		t.Fatalf("execution knobs changed the key: %q vs %q", got, key)
 	}

@@ -6,6 +6,6 @@ func BenchmarkMOSEval(b *testing.B) {
 	m := nmos()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Eval(1.5, 1.0, 0, 0)
+		_ = eval(m, 1.5, 1.0, 0, 0)
 	}
 }

@@ -48,7 +48,7 @@ func TestMOSGoldenBitExact(t *testing.T) {
 			for _, vg := range terminal {
 				for _, vs := range terminal {
 					for _, vb := range bulk {
-						op := p.Eval(vd, vg, vs, vb)
+						op := eval(p, vd, vg, vs, vb)
 						for _, f := range []float64{
 							op.ID, op.GM, op.GDS, op.GMB, op.VGS, op.VDS, op.VOV,
 							op.CGS, op.CGD, op.CGB, op.CDB, op.CSB,

@@ -104,17 +104,6 @@ type OP struct {
 	CGS, CGD, CGB, CDB, CSB float64
 }
 
-// Eval computes the operating point at the given terminal voltages
-// (drain, gate, source, bulk, all referred to ground). It compiles p on
-// every call; solvers that evaluate one device repeatedly hold the
-// MOSModel from Compile instead.
-func (p *MOSParams) Eval(vd, vg, vs, vb float64) OP {
-	m := p.Compile()
-	var op OP
-	m.EvalInto(&op, vd, vg, vs, vb)
-	return op
-}
-
 // MOSModel is a MOSParams compiled for evaluation: the polarity and the
 // derived constants (KP·W/L, λ·Lref/L, √φ, the geometry capacitances)
 // computed once, so the per-Newton-iteration stamp reads eleven floats

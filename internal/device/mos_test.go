@@ -9,6 +9,16 @@ import (
 	"pipesyn/internal/netlist"
 )
 
+// eval computes p's operating point at the given terminal voltages
+// (drain, gate, source, bulk) through its compiled model, as the
+// solvers do.
+func eval(p MOSParams, vd, vg, vs, vb float64) OP {
+	m := p.Compile()
+	var op OP
+	m.EvalInto(&op, vd, vg, vs, vb)
+	return op
+}
+
 func nmos() MOSParams {
 	return MOSParams{
 		Name: "m1", W: 10e-6, L: 0.25e-6,
@@ -27,13 +37,13 @@ func pmos() MOSParams {
 
 func TestRegions(t *testing.T) {
 	m := nmos()
-	if op := m.Eval(1.0, 0.2, 0, 0); op.Region != Cutoff {
+	if op := eval(m, 1.0, 0.2, 0, 0); op.Region != Cutoff {
 		t.Fatalf("vgs<vth should be cutoff, got %v", op.Region)
 	}
-	if op := m.Eval(2.0, 1.0, 0, 0); op.Region != Saturation {
+	if op := eval(m, 2.0, 1.0, 0, 0); op.Region != Saturation {
 		t.Fatalf("vds>vov should be saturation, got %v", op.Region)
 	}
-	if op := m.Eval(0.1, 1.5, 0, 0); op.Region != Triode {
+	if op := eval(m, 0.1, 1.5, 0, 0); op.Region != Triode {
 		t.Fatalf("small vds should be triode, got %v", op.Region)
 	}
 }
@@ -43,7 +53,7 @@ func TestSquareLawCurrent(t *testing.T) {
 	m.Lambda = 0 // pure square law for the analytic check
 	m.Gamma = 0
 	vgs, vds := 1.0, 2.0
-	op := m.Eval(vds, vgs, 0, 0)
+	op := eval(m, vds, vgs, 0, 0)
 	k := m.KP * m.W / m.L
 	want := 0.5 * k * (vgs - m.VTO) * (vgs - m.VTO)
 	if math.Abs(op.ID-want)/want > 1e-12 {
@@ -63,8 +73,8 @@ func TestPMOSSymmetry(t *testing.T) {
 	p.Gamma = 0
 	p.VTO = -n.VTO
 	p.KP = n.KP
-	nOp := n.Eval(1.5, 1.2, 0, 0)
-	pOp := p.Eval(-1.5, -1.2, 0, 0)
+	nOp := eval(n, 1.5, 1.2, 0, 0)
+	pOp := eval(p, -1.5, -1.2, 0, 0)
 	if math.Abs(nOp.ID+pOp.ID) > 1e-15 {
 		t.Fatalf("PMOS mirror ID = %g, want %g", pOp.ID, -nOp.ID)
 	}
@@ -80,8 +90,8 @@ func TestPMOSSymmetry(t *testing.T) {
 func TestReverseModeContinuity(t *testing.T) {
 	// Current must be an odd-ish continuous function through vds = 0.
 	m := nmos()
-	idPlus := m.Eval(1e-6, 1.5, 0, 0).ID
-	idMinus := m.Eval(-1e-6, 1.5, 0, 0).ID
+	idPlus := eval(m, 1e-6, 1.5, 0, 0).ID
+	idMinus := eval(m, -1e-6, 1.5, 0, 0).ID
 	if idPlus <= 0 || idMinus >= 0 {
 		t.Fatalf("sign error around vds=0: %g / %g", idPlus, idMinus)
 	}
@@ -100,15 +110,15 @@ func TestDerivativesProperty(t *testing.T) {
 		vd := r.Float64()*3 - 0.5
 		vb := -r.Float64() // reverse-biased bulk
 		const h = 1e-7
-		op := m.Eval(vd, vg, 0, vb)
+		op := eval(m, vd, vg, 0, vb)
 		// Skip points too close to a region boundary where the piecewise
 		// model is legitimately non-differentiable.
 		if math.Abs(op.VDS-op.VOV) < 1e-3 || math.Abs(op.VOV) < 1e-3 {
 			return true
 		}
-		gmNum := (m.Eval(vd, vg+h, 0, vb).ID - m.Eval(vd, vg-h, 0, vb).ID) / (2 * h)
-		gdsNum := (m.Eval(vd+h, vg, 0, vb).ID - m.Eval(vd-h, vg, 0, vb).ID) / (2 * h)
-		gmbNum := (m.Eval(vd, vg, 0, vb+h).ID - m.Eval(vd, vg, 0, vb-h).ID) / (2 * h)
+		gmNum := (eval(m, vd, vg+h, 0, vb).ID - eval(m, vd, vg-h, 0, vb).ID) / (2 * h)
+		gdsNum := (eval(m, vd+h, vg, 0, vb).ID - eval(m, vd-h, vg, 0, vb).ID) / (2 * h)
+		gmbNum := (eval(m, vd, vg, 0, vb+h).ID - eval(m, vd, vg, 0, vb-h).ID) / (2 * h)
 		scale := math.Abs(op.GM) + math.Abs(op.GDS) + 1e-9
 		return math.Abs(op.GM-gmNum) < 1e-4*scale &&
 			math.Abs(op.GDS-gdsNum) < 1e-4*scale &&
@@ -122,8 +132,8 @@ func TestDerivativesProperty(t *testing.T) {
 func TestBodyEffectRaisesVth(t *testing.T) {
 	m := nmos()
 	// Same vgs: more reverse bulk bias → less current.
-	id0 := m.Eval(2, 1.2, 0, 0).ID
-	id1 := m.Eval(2, 1.2, 0, -1).ID
+	id0 := eval(m, 2, 1.2, 0, 0).ID
+	id1 := eval(m, 2, 1.2, 0, -1).ID
 	if id1 >= id0 {
 		t.Fatalf("body effect missing: id(vbs=-1)=%g ≥ id(0)=%g", id1, id0)
 	}
@@ -131,9 +141,9 @@ func TestBodyEffectRaisesVth(t *testing.T) {
 
 func TestCapacitances(t *testing.T) {
 	m := nmos()
-	sat := m.Eval(2, 1.2, 0, 0)
-	tri := m.Eval(0.05, 2.0, 0, 0)
-	off := m.Eval(2, 0, 0, 0)
+	sat := eval(m, 2, 1.2, 0, 0)
+	tri := eval(m, 0.05, 2.0, 0, 0)
+	off := eval(m, 2, 0, 0, 0)
 	cch := m.Cox * m.W * m.L
 	if math.Abs(sat.CGS-(2.0/3.0)*cch-m.CGSO*m.W) > 1e-20 {
 		t.Fatalf("sat CGS = %g", sat.CGS)
@@ -158,7 +168,7 @@ M1 d g s 0 nch W=20u L=0.5u
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := c.Find("m1")
+	e := c.Elements[0]
 	mod, _ := c.ModelFor(e)
 	p, err := FromNetlist(e, mod)
 	if err != nil {
@@ -185,7 +195,7 @@ M1 d g s b pch W=20u L=0.5u
 .model pch pmos ()
 `
 	c, _ := netlist.Parse(deck)
-	e := c.Find("m1")
+	e := c.Elements[0]
 	mod, _ := c.ModelFor(e)
 	p, err := FromNetlist(e, mod)
 	if err != nil {
@@ -202,7 +212,7 @@ S1 a b swm phase=2
 .model swm sw (ron=200 roff=1e9)
 `
 	c, _ := netlist.Parse(deck)
-	e := c.Find("s1")
+	e := c.Elements[0]
 	mod, _ := c.ModelFor(e)
 	sp := SwitchFromNetlist(e, mod)
 	if sp.Phase != 2 || sp.Ron != 200 {
@@ -222,8 +232,8 @@ func TestLambdaScalesWithLength(t *testing.T) {
 	long := nmos()
 	long.L = 1e-6
 	long.W = 40e-6 // same W/L
-	gdsShort := short.Eval(2, 1.2, 0, 0).GDS
-	gdsLong := long.Eval(2, 1.2, 0, 0).GDS
+	gdsShort := eval(short, 2, 1.2, 0, 0).GDS
+	gdsLong := eval(long, 2, 1.2, 0, 0).GDS
 	if gdsLong >= gdsShort {
 		t.Fatalf("gds(long)=%g should be < gds(short)=%g", gdsLong, gdsShort)
 	}

@@ -50,6 +50,22 @@ func TestFFTBadLength(t *testing.T) {
 	}
 }
 
+// IFFT computes the inverse FFT (normalized by 1/N), the round trip
+// oracle for FFT.
+func IFFT(x []complex128) error {
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	if err := FFT(x); err != nil {
+		return err
+	}
+	n := complex(float64(len(x)), 0)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) / n
+	}
+	return nil
+}
+
 // Property: IFFT(FFT(x)) == x.
 func TestFFTRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -376,10 +392,27 @@ func TestINLDNL(t *testing.T) {
 	}
 }
 
+// Bin k of a spectrum lies at k·Fs/N: a coherent tone there puts its
+// power in that bin.
 func TestSpectrumBinFreq(t *testing.T) {
-	s := &Spectrum{Fs: 1000, N: 100}
-	if f := s.BinFreq(10); f != 100 {
-		t.Fatalf("BinFreq = %g", f)
+	const fs, n = 1000.0, 64
+	f, k := CoherentBin(fs, 160, n)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(2 * math.Pi * f * float64(i) / fs)
+	}
+	s, err := PowerSpectrum(x, fs, Rectangular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for i, p := range s.Power {
+		if p > s.Power[peak] {
+			peak = i
+		}
+	}
+	if peak != k || f != float64(k)*s.Fs/float64(s.N) {
+		t.Fatalf("tone at %g Hz peaks in bin %d, want bin %d", f, peak, k)
 	}
 }
 

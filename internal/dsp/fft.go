@@ -47,21 +47,6 @@ func FFT(x []complex128) error {
 	return nil
 }
 
-// IFFT computes the inverse FFT (normalized by 1/N).
-func IFFT(x []complex128) error {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) / n
-	}
-	return nil
-}
-
 // Window identifies a window function for spectral analysis.
 type Window int
 
@@ -156,6 +141,3 @@ func PowerSpectrum(x []float64, fs float64, w Window) (*Spectrum, error) {
 	}
 	return &Spectrum{Power: p, Fs: fs, N: n}, nil
 }
-
-// BinFreq returns the center frequency of bin k.
-func (s *Spectrum) BinFreq(k int) float64 { return s.Fs * float64(k) / float64(s.N) }

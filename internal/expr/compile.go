@@ -239,9 +239,6 @@ func (p *Program) emit(n *dagNode, index map[string]int, cur int) int {
 	return cur + 1
 }
 
-// Vars returns the variable order for EvalC's vals argument.
-func (p *Program) Vars() []string { return append([]string(nil), p.vars...) }
-
 // VarIndex returns the slot of a variable, or -1.
 func (p *Program) VarIndex(name string) int {
 	i := sort.SearchStrings(p.vars, name)
@@ -250,9 +247,6 @@ func (p *Program) VarIndex(name string) int {
 	}
 	return -1
 }
-
-// Size reports the instruction count, a proxy for expression complexity.
-func (p *Program) Size() int { return len(p.code) }
 
 // EvalBuf is the scratch state for EvalCInto. The zero value is ready to
 // use; the first evaluation sizes it, after which evaluations of the

@@ -14,7 +14,7 @@ func TestCompileMatchesEvalC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Size() == 0 {
+	if len(prog.code) == 0 {
 		t.Fatal("empty program")
 	}
 	cenv := map[string]complex128{}
@@ -74,7 +74,7 @@ func TestCompileEquivalenceProperty(t *testing.T) {
 			}
 			return Div(num, den)
 		default:
-			return Sub(build(r, depth-1), build(r, depth-1))
+			return Add(build(r, depth-1), Neg(build(r, depth-1)))
 		}
 	}
 	sameBits := func(x, y complex128) bool {
@@ -126,8 +126,8 @@ func TestProgramVarIndex(t *testing.T) {
 	if prog.VarIndex("s") < 0 || prog.VarIndex("zz") != -1 {
 		t.Fatal("VarIndex misbehaves")
 	}
-	if got := prog.Vars(); len(got) != 3 {
-		t.Fatalf("Vars = %v", got)
+	if got := prog.vars; len(got) != 3 {
+		t.Fatalf("vars = %v", got)
 	}
 	// Wrong value count errors.
 	if _, err := prog.EvalC(make([]complex128, 1)); err == nil {

@@ -66,9 +66,6 @@ func (e Expr) IsConst() (float64, bool) {
 // IsZero reports whether e is the constant 0.
 func (e Expr) IsZero() bool { return e.kind == kConst && e.val == 0 }
 
-// IsOne reports whether e is the constant 1.
-func (e Expr) IsOne() bool { return e.kind == kConst && e.val == 1 }
-
 // Add returns the simplified sum of the given expressions.
 func Add(xs ...Expr) Expr {
 	var flat []Expr
@@ -136,9 +133,6 @@ func Mul(xs ...Expr) Expr {
 	}
 	return Expr{kind: kMul, args: flat}
 }
-
-// Sub returns a − b.
-func Sub(a, b Expr) Expr { return Add(a, Neg(b)) }
 
 // Neg returns −a.
 func Neg(a Expr) Expr { return Mul(C(-1), a) }

@@ -1,7 +1,7 @@
 // Package la provides the linear algebra used by the circuit simulator:
 // dense row-major matrices over float64 and complex128, sparse LU
 // factorization with partial or static-ordered pivoting, triangular
-// solves, determinants, and a vector norm.
+// solves, and a vector norm.
 //
 // Circuit matrices from modified nodal analysis are small (tens of rows)
 // but re-factored at every Newton iteration on a sparsity pattern that
@@ -56,22 +56,12 @@ func newDense[T Scalar](r, c int) *Dense[T] {
 // At returns element (i,j).
 func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i,j).
-func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates v into element (i,j); this is the "stamp" primitive used
 // throughout MNA assembly.
 func (m *Dense[T]) Add(i, j int, v T) { m.Data[i*m.Cols+j] += v }
 
 // Zero clears every element in place, preserving the allocation.
 func (m *Dense[T]) Zero() { clear(m.Data) }
-
-// Clone returns a deep copy.
-func (m *Dense[T]) Clone() *Dense[T] {
-	out := newDense[T](m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // MulVec computes y = M·x.
 func (m *Dense[T]) MulVec(x []T) []T {

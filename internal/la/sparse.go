@@ -76,9 +76,6 @@ func PatternOf(a *Matrix) *Pattern {
 	return p
 }
 
-// N returns the pattern's dimension.
-func (p *Pattern) N() int { return p.n }
-
 // Mark records position (i,j) as potentially nonzero. Negative indices
 // are ignored so MNA assemblers can pass ground (-1) rows unguarded.
 func (p *Pattern) Mark(i, j int) {
@@ -86,11 +83,6 @@ func (p *Pattern) Mark(i, j int) {
 		return
 	}
 	p.rows[i*p.words+(j>>6)] |= 1 << uint(j&63)
-}
-
-// Has reports whether (i,j) is in the pattern.
-func (p *Pattern) Has(i, j int) bool {
-	return p.rows[i*p.words+(j>>6)]&(1<<uint(j&63)) != 0
 }
 
 // NNZ counts the marked positions.
@@ -118,15 +110,6 @@ func (p *Pattern) flatIdx() []int32 {
 	return idx
 }
 
-// SymbolicStats summarizes a symbolic analysis for logging and tests.
-type SymbolicStats struct {
-	N       int
-	NNZ     int     // marked positions in the input pattern
-	FillNNZ int     // positions the factor can touch (L+U incl. fill)
-	Density float64 // FillNNZ / N²
-	Ordered bool
-}
-
 // Symbolic is a completed symbolic factorization of a Pattern: the
 // static structure a SparseLU or CSparseLU consults on every numeric
 // refactor. It is immutable after analysis and safe to share across
@@ -137,7 +120,6 @@ type Symbolic struct {
 	nnzIdx  []int32 // flat indices of the input pattern (scatter, max-abs scan)
 	mulPtr  []int32 // CSR row offsets into nnzIdx/mulCol for MulVecInto
 	mulCol  []int32 // column of each nnzIdx entry (avoids div/mod per entry)
-	stats   SymbolicStats
 
 	// Partial-pivot (Analyze) mode: the initial row and column patterns
 	// as bitsets. The numeric factorization evolves working copies
@@ -162,32 +144,6 @@ type Symbolic struct {
 	ucolPtr, ucolIdx   []int32 // per step k: columns j>k of the pivot row
 	lpatPtr, lpatIdx   []int32 // per row i: its L columns, for forward solves
 	fillIdx            []int32 // every permuted flat position the factor touches
-	permSign           int     // parity of rowOrder ∘ colOrder⁻¹, for Det
-}
-
-// N returns the system dimension.
-func (s *Symbolic) N() int { return s.n }
-
-// Stats reports the pattern and fill figures of the analysis.
-func (s *Symbolic) Stats() SymbolicStats { return s.stats }
-
-// Covers reports whether every nonzero of a lies inside the analyzed
-// pattern — the precondition NumericFactor relies on. Intended for tests
-// and assembly-time validation, not hot loops.
-func (s *Symbolic) Covers(a *Matrix) bool {
-	if a.Rows != s.n || a.Cols != s.n {
-		return false
-	}
-	have := make(map[int32]bool, len(s.nnzIdx))
-	for _, idx := range s.nnzIdx {
-		have[idx] = true
-	}
-	for i, v := range a.Data {
-		if v != 0 && !have[int32(i)] {
-			return false
-		}
-	}
-	return true
 }
 
 // Analyze prepares the pivot-exact symbolic analysis: it captures the
@@ -205,10 +161,6 @@ func Analyze(p *Pattern) *Symbolic {
 	for _, idx := range s.nnzIdx {
 		i, j := int(idx)/n, int(idx)%n
 		s.initColPat[j*p.words+(i>>6)] |= 1 << uint(i&63)
-	}
-	s.stats = SymbolicStats{
-		N: n, NNZ: len(s.nnzIdx), FillNNZ: len(s.nnzIdx),
-		Density: float64(len(s.nnzIdx)) / float64(max(1, n*n)),
 	}
 	s.initMulIdx()
 	return s
@@ -416,12 +368,6 @@ func AnalyzeOrdered(p *Pattern) (*Symbolic, error) {
 		i, j := int(idx)/n, int(idx)%n
 		s.scatterDst[t] = posOfRow[i]*int32(n) + posOfCol[j]
 	}
-	s.permSign = permParity(s.rowOrder) * permParity(s.colOrder)
-	s.stats = SymbolicStats{
-		N: n, NNZ: len(s.nnzIdx), FillNNZ: fillNNZ,
-		Density: float64(fillNNZ) / float64(max(1, n*n)),
-		Ordered: true,
-	}
 	s.initMulIdx()
 	return s, nil
 }
@@ -442,36 +388,15 @@ func flattenCSR(rows [][]int32) (ptr, idx []int32) {
 	return ptr, idx
 }
 
-// permParity returns +1 for even permutations, -1 for odd.
-func permParity(p []int32) int {
-	seen := make([]bool, len(p))
-	sign := 1
-	for i := range p {
-		if seen[i] {
-			continue
-		}
-		length := 0
-		for j := i; !seen[j]; j = int(p[j]) {
-			seen[j] = true
-			length++
-		}
-		if length%2 == 0 {
-			sign = -sign
-		}
-	}
-	return sign
-}
-
 // pivotLU is the partial-pivot numeric factorization of an Analyze
 // analysis, written once over the scalar type: SparseLU embeds the real
 // instantiation and CSparseLU the complex one. It pivots exactly like
 // the dense LU, so on a matrix whose nonzeros lie inside the analyzed
-// pattern the factor, solution and determinant are bit-identical to it.
+// pattern the factor and solution are bit-identical to it.
 type pivotLU[T Scalar] struct {
 	sym    *Symbolic
 	lu     *Dense[T]
 	piv    []int
-	signs  int
 	rowPat []uint64 // live U-side pattern per row position, swapped with rows
 	colPat []uint64 // transpose: live row positions per column
 	lPat   []uint64 // per position: columns holding a nonzero multiplier
@@ -492,9 +417,6 @@ func newPivotLU[T Scalar](sym *Symbolic) pivotLU[T] {
 	}
 	return f
 }
-
-// Symbolic returns the analysis this workspace factors against.
-func (f *pivotLU[T]) Symbolic() *Symbolic { return f.sym }
 
 // checkSize reports an n×n analysis applied to a matrix of another shape.
 func (s *Symbolic) checkSize(rows, cols int) error {
@@ -557,7 +479,6 @@ func (f *pivotLU[T]) factorWords(tol float64) error {
 	n, w := f.sym.n, f.sym.words
 	data := f.lu.Data
 	rowPat, colPat, lPat, piv := f.rowPat, f.colPat, f.lPat, f.piv
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot scan with the dense path's decisions: rows without a
 		// live entry in column k hold an exact zero, which can never win
@@ -642,7 +563,6 @@ func (f *pivotLU[T]) factorWords(tol float64) error {
 				}
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		inv := 1 / data[k*n+k]
 		rowK := data[k*n : (k+1)*n]
@@ -703,7 +623,6 @@ func (f *pivotLU[T]) factorWords(tol float64) error {
 			}
 		}
 	}
-	f.signs = sign
 	return nil
 }
 
@@ -716,7 +635,6 @@ func (f *pivotLU[T]) factorW1(tol float64) error {
 	n := f.sym.n
 	data := f.lu.Data
 	rowPat, colPat, lPat, piv := f.rowPat, f.colPat, f.lPat, f.piv
-	sign := 1
 	for k := 0; k < n; k++ {
 		kbit := uint64(1) << uint(k)
 		above := ^uint64(0) << uint(k+1) // zero for k = 63 by Go shift semantics
@@ -758,7 +676,6 @@ func (f *pivotLU[T]) factorW1(tol float64) error {
 				}
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		inv := 1 / data[k*n+k]
 		rowK := data[k*n : (k+1)*n]
@@ -786,15 +703,7 @@ func (f *pivotLU[T]) factorW1(tol float64) error {
 			rowPat[i] |= patK
 		}
 	}
-	f.signs = sign
 	return nil
-}
-
-// Solve returns x with A·x = b.
-func (f *pivotLU[T]) Solve(b []T) []T {
-	x := make([]T, f.sym.n)
-	f.SolveInto(x, b)
-	return x
 }
 
 // SolveInto writes the solution of A·x = b into x without allocating.
@@ -871,19 +780,6 @@ func (f *pivotLU[T]) solveW1(x []T) {
 		}
 		x[i] = acc / row[i]
 	}
-}
-
-// Det returns det(A) from the factorization.
-func (f *pivotLU[T]) Det() T {
-	var d T = 1
-	if f.signs < 0 {
-		d = -1
-	}
-	n := f.sym.n
-	for i := 0; i < n; i++ {
-		d *= f.lu.Data[i*n+i]
-	}
-	return d
 }
 
 // SparseLU is the real numeric factorization workspace bound to a
@@ -968,15 +864,7 @@ func (f *SparseLU) factorOrdered(a *Matrix) error {
 			}
 		}
 	}
-	f.signs = s.permSign
 	return nil
-}
-
-// Solve returns x with A·x = b.
-func (f *SparseLU) Solve(b []float64) []float64 {
-	x := make([]float64, f.sym.n)
-	f.SolveInto(x, b)
-	return x
 }
 
 // SolveInto writes the solution of A·x = b into x without allocating.

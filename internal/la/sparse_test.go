@@ -249,7 +249,7 @@ func TestSparseSingularParity(t *testing.T) {
 	if err := fd.NumericFactor(ad); err != nil {
 		t.Fatal(err)
 	}
-	_ = fd.Solve(bd)
+	fd.SolveInto(make([]float64, len(bd)), bd)
 }
 
 // TestOrderedMatchesDense checks the static Markowitz order against the
@@ -290,7 +290,8 @@ func TestOrderedMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		xs := f.Solve(b)
+		xs := make([]float64, len(b))
+		f.SolveInto(xs, b)
 		// Backward error at 1e-12 of the problem scale: the proper
 		// "agrees with dense" criterion for a different elimination
 		// order, which matches dense only to round-off.
@@ -489,8 +490,8 @@ func TestPatternBasics(t *testing.T) {
 		t.Fatalf("PatternOf wrong: nnz=%d", q.NNZ())
 	}
 	sym := Analyze(q)
-	if sym.Stats().NNZ != 2 || sym.Stats().N != 3 {
-		t.Fatalf("stats wrong: %+v", sym.Stats())
+	if len(sym.nnzIdx) != 2 || sym.n != 3 {
+		t.Fatalf("analysis wrong: n=%d nnz=%d", sym.n, len(sym.nnzIdx))
 	}
 }
 

@@ -191,35 +191,6 @@ func (c *Circuit) ModelFor(e *Element) (*Model, error) {
 	return m, nil
 }
 
-// NodeNames returns every node name (except ground "0"), sorted.
-func (c *Circuit) NodeNames() []string {
-	set := map[string]bool{}
-	for _, e := range c.Elements {
-		for _, n := range e.Nodes {
-			if n != "0" && n != "gnd" {
-				set[n] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Find returns the element with the given (case-insensitive) name.
-func (c *Circuit) Find(name string) *Element {
-	ln := strings.ToLower(name)
-	for _, e := range c.Elements {
-		if strings.ToLower(e.Name) == ln {
-			return e
-		}
-	}
-	return nil
-}
-
 // String renders the circuit as a deck that Parse reads back into an
 // equal circuit, source waveforms included, for the element types this
 // package defines.

@@ -287,6 +287,9 @@ func (p *parser) parseElement(fields []string) (*Element, error) {
 		if len(args) < 5 {
 			return nil, fmt.Errorf("%s: needs 4 nodes and a gain", name)
 		}
+		if len(args) > 5 {
+			return nil, fmt.Errorf("%s: unexpected %q after the gain", name, args[5])
+		}
 		e.Nodes = args[:4]
 		v, err := p.value(args[4])
 		if err != nil {

@@ -14,6 +14,17 @@ C1 out 0 1p
 .end
 `
 
+// find returns the element named name, compared case-insensitively as
+// SPICE names are, or nil.
+func find(c *Circuit, name string) *Element {
+	for _, e := range c.Elements {
+		if strings.EqualFold(e.Name, name) {
+			return e
+		}
+	}
+	return nil
+}
+
 func TestParseRC(t *testing.T) {
 	c, err := Parse(rcDeck)
 	if err != nil {
@@ -22,21 +33,17 @@ func TestParseRC(t *testing.T) {
 	if len(c.Elements) != 3 {
 		t.Fatalf("got %d elements, want 3", len(c.Elements))
 	}
-	r := c.Find("R1")
-	if r == nil || r.Type != Resistor || r.Value != 10e3 {
+	r := find(c, "R1")
+	if r == nil || r.Type != Resistor || r.Value != 10e3 || r.Nodes[0] != "in" || r.Nodes[1] != "out" {
 		t.Fatalf("R1 = %+v", r)
 	}
-	cc := c.Find("c1")
+	cc := find(c, "c1")
 	if cc == nil || cc.Type != Capacitor || cc.Value != 1e-12 {
 		t.Fatalf("C1 = %+v", cc)
 	}
-	v := c.Find("V1")
+	v := find(c, "V1")
 	if v == nil || v.Src == nil || v.Src.DC != 3.3 || v.Src.ACMag != 1 {
 		t.Fatalf("V1 = %+v src %+v", v, v.Src)
-	}
-	nodes := c.NodeNames()
-	if len(nodes) != 2 || nodes[0] != "in" || nodes[1] != "out" {
-		t.Fatalf("nodes = %v", nodes)
 	}
 }
 
@@ -51,7 +58,7 @@ C1 b 0 3p
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := c.Find("r1"); r == nil || r.Value != 2e3 {
+	if r := find(c, "r1"); r == nil || r.Value != 2e3 {
 		t.Fatalf("continuation failed: %+v", r)
 	}
 	if len(c.Elements) != 2 {
@@ -68,7 +75,7 @@ M1 d g s 0 nch W=10u L=0.25u
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := c.Find("M1")
+	m := find(c, "M1")
 	if m == nil || m.Type != MOS {
 		t.Fatalf("M1 = %+v", m)
 	}
@@ -100,11 +107,11 @@ G1 out 0 inp inn 2m
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := c.Find("e1")
+	e := find(c, "e1")
 	if e == nil || e.Type != VCVS || e.Value != 1000 || len(e.Nodes) != 4 {
 		t.Fatalf("E1 = %+v", e)
 	}
-	g := c.Find("g1")
+	g := find(c, "g1")
 	if g == nil || g.Type != VCCS || math.Abs(g.Value-2e-3) > 1e-15 {
 		t.Fatalf("G1 = %+v", g)
 	}
@@ -118,7 +125,7 @@ V1 in 0 SIN(1.65 0.5 1MEG) AC 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := c.Find("v1").Src
+	s := find(c, "v1").Src
 	if s.Kind != SrcSin || s.Sin.VO != 1.65 || s.Sin.VA != 0.5 || s.Sin.Freq != 1e6 {
 		t.Fatalf("src = %+v", s)
 	}
@@ -136,11 +143,11 @@ V2 ramp 0 PWL(0 0 1u 1 2u 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := c.Find("v1").Src
+	p := find(c, "v1").Src
 	if p.Kind != SrcPulse || p.Pulse.V2 != 3.3 || math.Abs(p.Pulse.PER-25e-9) > 1e-20 {
 		t.Fatalf("pulse = %+v", p)
 	}
-	w := c.Find("v2").Src
+	w := find(c, "v2").Src
 	if w.Kind != SrcPWL || len(w.PWL) != 3 || w.PWL[1].V != 1 {
 		t.Fatalf("pwl = %+v", w)
 	}
@@ -154,7 +161,7 @@ func TestParsePWLDuplicateTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.Find("v1").Src
+	w := find(c, "v1").Src
 	if w.Kind != SrcPWL || len(w.PWL) != 4 {
 		t.Fatalf("pwl = %+v", w)
 	}
@@ -173,11 +180,11 @@ C1 a 0 {cval}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Find("r1").Value != 100e3 {
-		t.Fatalf("rbig = %g", c.Find("r1").Value)
+	if find(c, "r1").Value != 100e3 {
+		t.Fatalf("rbig = %g", find(c, "r1").Value)
 	}
-	if c.Find("c1").Value != 2e-12 {
-		t.Fatalf("cval = %g", c.Find("c1").Value)
+	if find(c, "c1").Value != 2e-12 {
+		t.Fatalf("cval = %g", find(c, "c1").Value)
 	}
 	if _, err := Parse("R1 a 0 {nope}\n"); err == nil {
 		t.Fatal("expected undefined-parameter error")
@@ -202,14 +209,14 @@ X2 tap 0 tap2 divider
 	if len(c.Elements) != 5 {
 		t.Fatalf("got %d elements, want 5: %v", len(c.Elements), c)
 	}
-	r := c.Find("x1.r1")
+	r := find(c, "x1.r1")
 	if r == nil {
 		t.Fatal("flattened element x1.r1 missing")
 	}
 	if r.Nodes[0] != "in" || r.Nodes[1] != "tap" {
 		t.Fatalf("x1.r1 nodes = %v", r.Nodes)
 	}
-	r2 := c.Find("x2.r2")
+	r2 := find(c, "x2.r2")
 	if r2 == nil || r2.Nodes[0] != "tap2" || r2.Nodes[1] != "0" {
 		t.Fatalf("x2.r2 = %+v", r2)
 	}
@@ -233,7 +240,7 @@ Xtop in 0 pair
 	if len(c.Elements) != 2 {
 		t.Fatalf("got %d elements, want 2", len(c.Elements))
 	}
-	inner := c.Find("xtop.x1.r1")
+	inner := find(c, "xtop.x1.r1")
 	if inner == nil {
 		names := []string{}
 		for _, e := range c.Elements {
@@ -276,7 +283,7 @@ S1 a b swmod phase=1
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := c.Find("s1")
+	s := find(c, "s1")
 	if s == nil || s.Type != Switch || s.Param("phase", 0) != 1 {
 		t.Fatalf("S1 = %+v", s)
 	}
@@ -291,15 +298,17 @@ S1 a b swmod phase=1
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"Q1 a b c qmod\n",     // unsupported element
-		"R1 a\n",              // missing value
-		"M1 d g s nch\n",      // missing bulk
-		"E1 a 0 b 0\n",        // missing gain
-		"R1 a 0 zzz\n",        // bad value
-		".model only1arg\n",   // incomplete model
-		"V1 a 0 SIN(1 2)\n",   // SIN too short
-		"V1 a 0 PULSE(1 2)\n", // PULSE too short
-		"V1 a 0 PWL(1 2 3)\n", // odd PWL
+		"Q1 a b c qmod\n",      // unsupported element
+		"R1 a\n",               // missing value
+		"M1 d g s nch\n",       // missing bulk
+		"E1 a 0 b 0\n",         // missing gain
+		"E1 a 0 b 0 10 junk\n", // token after the gain
+		"G1 a 0 b 0 1m 7 8\n",  // tokens after the gain
+		"R1 a 0 zzz\n",         // bad value
+		".model only1arg\n",    // incomplete model
+		"V1 a 0 SIN(1 2)\n",    // SIN too short
+		"V1 a 0 PULSE(1 2)\n",  // PULSE too short
+		"V1 a 0 PWL(1 2 3)\n",  // odd PWL
 		"V1 a 0 SIN(0 1 1meg) PULSE(0 1 0 1n 1n 5n 10n)\n", // two waveforms
 		"R1 a 0 1k extra\n",   // non key=value trailing
 		".param broken\n",     // bad param syntax
@@ -317,7 +326,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestModelErrors(t *testing.T) {
 	c, _ := Parse("M1 d g s 0 missing W=1u L=1u\n")
-	m := c.Find("m1")
+	m := find(c, "m1")
 	if _, err := c.ModelFor(m); err == nil {
 		t.Fatal("expected undefined model error")
 	}
@@ -507,7 +516,7 @@ func TestFlattenedNamesRoundTrip(t *testing.T) {
 		t.Fatalf("re-parse: %v\n%s", err, c)
 	}
 	for _, e := range c.Elements {
-		if e2 := c2.Find(e.Name); e2 == nil || e2.Type != e.Type {
+		if e2 := find(c2, e.Name); e2 == nil || e2.Type != e.Type {
 			t.Fatalf("%s (%v) came back as %+v", e.Name, e.Type, e2)
 		}
 	}

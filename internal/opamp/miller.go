@@ -38,11 +38,6 @@ func (s MillerSizing) Vector() []float64 {
 	return []float64{s.W1, s.L1, s.W3, s.L3, s.W5, s.L5, s.KTail, s.K2, s.IRef, s.CC, s.RZ}
 }
 
-// VarNames labels the Vector entries, index-aligned.
-func VarNames() []string {
-	return []string{"W1", "L1", "W3", "L3", "W5", "L5", "KTail", "K2", "IRef", "CC", "RZ"}
-}
-
 // FromVector rebuilds a sizing from an optimizer vector.
 func FromVector(v []float64) (MillerSizing, error) {
 	if len(v) != 11 {
@@ -76,12 +71,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// SupplyCurrent returns the nominal total supply current from the sizing
-// (reference + tail + second stage), before simulation refinement.
-func (s MillerSizing) SupplyCurrent() float64 {
-	return s.IRef * (1 + s.KTail + s.K2)
 }
 
 // Ports of the generated amplifier.

@@ -26,11 +26,6 @@ type TelescopicSizing struct {
 	VBN    float64 // cascode gate bias
 }
 
-// TeleVarNames labels TelescopicSizing.Vector entries.
-func TeleVarNames() []string {
-	return []string{"W1", "L1", "W3", "L3", "W5", "L5", "KTail", "IRef", "VBN"}
-}
-
 // Vector flattens the sizing for an optimizer.
 func (s TelescopicSizing) Vector() []float64 {
 	return []float64{s.W1, s.L1, s.W3, s.L3, s.W5, s.L5, s.KTail, s.IRef, s.VBN}

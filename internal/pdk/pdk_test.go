@@ -68,7 +68,7 @@ func TestModelCardsAttach(t *testing.T) {
 		Model:  "nch",
 		Params: map[string]float64{"w": 1e-6, "l": 0.25e-6},
 	})
-	m, err := c.ModelFor(c.Find("m1"))
+	m, err := c.ModelFor(c.Elements[0])
 	if err != nil {
 		t.Fatal(err)
 	}

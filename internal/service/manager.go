@@ -781,13 +781,6 @@ func (m *Manager) Snapshot() Snapshot {
 	return snap
 }
 
-// Draining reports whether the manager has begun shutdown.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
-
 // Ready reports whether the manager can accept work: Start has run
 // (journal replay, if configured, happens before Start) and no drain is
 // in progress. /readyz serves this.
@@ -796,10 +789,6 @@ func (m *Manager) Ready() bool {
 	defer m.mu.Unlock()
 	return m.started && !m.draining
 }
-
-// NodeID returns the configured cluster identity ("" outside cluster
-// mode).
-func (m *Manager) NodeID() string { return m.cfg.NodeID }
 
 // runJob executes one study on an executor goroutine.
 func (m *Manager) runJob(job *Job) {

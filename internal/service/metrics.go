@@ -82,9 +82,6 @@ func (m *Metrics) ObserveEval(d time.Duration) {
 	m.evalBuckets[len(evalBuckets)].Add(1)
 }
 
-// Evals reports the total evaluations observed.
-func (m *Metrics) Evals() int64 { return m.evalCount.Load() }
-
 // ObserveYieldDraw records one Monte-Carlo realization's verdict and
 // ENOB. On the yield hot path, concurrent across draw workers; atomics
 // only.
@@ -104,9 +101,6 @@ func (m *Metrics) ObserveYieldDraw(enob float64, pass bool) {
 	m.yieldENOB[len(yieldENOBBuckets)].Add(1)
 }
 
-// YieldDraws reports the total Monte-Carlo draws observed.
-func (m *Metrics) YieldDraws() int64 { return m.yieldPass.Load() + m.yieldFail.Load() }
-
 // ObserveRaceRung records one completed racing rung's promotion
 // decision, as carried by a race_rung progress event.
 func (m *Metrics) ObserveRaceRung(promoted, pruned int) {
@@ -120,9 +114,6 @@ func (m *Metrics) ObserveSurrogate(proposals, accepted int) {
 	m.surrogateProposals.Add(int64(proposals))
 	m.surrogateAccepted.Add(int64(accepted))
 }
-
-// RaceRungs reports the racing rungs observed.
-func (m *Metrics) RaceRungs() int64 { return m.raceRungs.Load() }
 
 // Snapshot is the point-in-time gauge set a scrape renders alongside the
 // counters; the Manager assembles it from the queue, the job table, the

@@ -54,10 +54,6 @@ func NewServer(man *Manager) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Manager exposes the job manager the server fronts (the cluster router
-// shares it).
-func (s *Server) Manager() *Manager { return s.man }
-
 // SubmitResponse is the POST /v1/studies reply.
 type SubmitResponse struct {
 	ID      string `json:"id"`

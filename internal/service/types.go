@@ -95,6 +95,16 @@ func (r StudyRequest) Options() (core.Options, error) {
 	if r.SampleRate < 0 || r.VRef < 0 || r.Evals < 0 || r.Pattern < 0 || r.Restarts < 0 {
 		return core.Options{}, fmt.Errorf("negative knob in request")
 	}
+	// The budgets size the work and its memory up front (synthesis makes
+	// one slot per restart), so a request cannot ask for more than a
+	// machine can hold; the caps sit far above any study the CLI or the
+	// figures run.
+	if r.Evals > 100000 || r.Pattern > 100000 {
+		return core.Options{}, fmt.Errorf("evals %d or pattern %d out of range [0, 100000]", r.Evals, r.Pattern)
+	}
+	if r.Restarts > 64 {
+		return core.Options{}, fmt.Errorf("restarts %d out of range [0, 64]", r.Restarts)
+	}
 	// Yield knobs are meaningless outside the yield lane; reject rather
 	// than silently ignore, so a typo'd mode can't drop a 10k-draw ask.
 	if !r.Yield() && (r.Draws != 0 || r.MinENOB != 0) {

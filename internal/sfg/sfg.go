@@ -45,9 +45,6 @@ func (g *Graph) AddNode(name string) int {
 	return i
 }
 
-// Nodes returns node names in insertion order.
-func (g *Graph) Nodes() []string { return append([]string(nil), g.names...) }
-
 // AddEdge adds a branch from→to with the given gain; repeated calls on the
 // same pair sum gains. Self-loops are allowed (they are ordinary loops in
 // Mason's formula).
@@ -66,20 +63,6 @@ func (g *Graph) AddEdge(from, to string, gain expr.Expr) {
 	} else {
 		m[t] = gain
 	}
-}
-
-// Gain returns the branch gain from→to and whether the edge exists.
-func (g *Graph) Gain(from, to string) (expr.Expr, bool) {
-	f, ok := g.index[from]
-	if !ok {
-		return expr.Zero, false
-	}
-	t, ok := g.index[to]
-	if !ok {
-		return expr.Zero, false
-	}
-	e, ok := g.adj[f][t]
-	return e, ok
 }
 
 // Loop is a simple cycle with its symbolic gain and member-node set.
@@ -252,13 +235,6 @@ func (g *Graph) TransferFunction(from, to string) (expr.Expr, error) {
 		num = expr.Add(num, expr.Mul(p.Gain, dk))
 	}
 	return expr.Div(num, delta), nil
-}
-
-// Determinant returns the full graph determinant Δ; exposed because Δ = 0
-// locates the characteristic equation (poles) of the network.
-func (g *Graph) Determinant() expr.Expr {
-	loops := g.Loops()
-	return determinant(loops, func(int) bool { return true })
 }
 
 // DescribeLoops renders loops with node names, for reports and debugging.

@@ -107,9 +107,9 @@ func TestParallelEdgesSum(t *testing.T) {
 	g := New()
 	g.AddEdge("in", "out", expr.V("a"))
 	g.AddEdge("in", "out", expr.V("b"))
-	gain, ok := g.Gain("in", "out")
-	if !ok {
-		t.Fatal("edge missing")
+	gain, err := g.TransferFunction("in", "out")
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := ev(t, gain, map[string]float64{"a": 2, "b": 5})
 	if got != 7 {
@@ -159,9 +159,11 @@ func TestUnknownNodes(t *testing.T) {
 
 func TestZeroGainEdgeIgnored(t *testing.T) {
 	g := New()
+	g.AddNode("a")
+	g.AddNode("b")
 	g.AddEdge("a", "b", expr.Zero)
-	if _, ok := g.Gain("a", "b"); ok {
-		t.Fatal("zero edge should not be stored")
+	if paths, err := g.ForwardPaths("a", "b"); err != nil || len(paths) != 0 {
+		t.Fatalf("zero edge should not be stored: paths %v, err %v", paths, err)
 	}
 }
 
@@ -200,25 +202,26 @@ func TestMasonChainProperty(t *testing.T) {
 	}
 }
 
-// The graph determinant of a single loop is 1 − L.
+// The graph determinant of a single loop is 1 − L, so x→y through a,
+// closed by y→x through b, has H = a/(1 − a·b).
 func TestDeterminant(t *testing.T) {
 	g := New()
 	g.AddEdge("x", "y", expr.V("a"))
 	g.AddEdge("y", "x", expr.V("b"))
-	d := g.Determinant()
-	got := ev(t, d, map[string]float64{"a": 0.5, "b": 0.5})
-	if math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("Δ = %g, want 0.75", got)
+	h, err := g.TransferFunction("x", "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ev(t, h, map[string]float64{"a": 0.5, "b": 0.5})
+	if math.Abs(got-0.5/0.75) > 1e-12 {
+		t.Fatalf("H = %g, want 0.5/Δ with Δ = 0.75", got)
 	}
 }
 
 func TestNodesOrder(t *testing.T) {
 	g := New()
-	g.AddNode("n1")
-	g.AddNode("n2")
-	g.AddNode("n1") // duplicate is a no-op
-	ns := g.Nodes()
-	if len(ns) != 2 || ns[0] != "n1" || ns[1] != "n2" {
-		t.Fatalf("Nodes = %v", ns)
+	n1, n2 := g.AddNode("n1"), g.AddNode("n2")
+	if again := g.AddNode("n1"); n1 != 0 || n2 != 1 || again != n1 { // duplicate is a no-op
+		t.Fatalf("AddNode indices n1=%d n2=%d n1 again=%d, want 0 1 0", n1, n2, again)
 	}
 }

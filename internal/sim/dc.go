@@ -10,8 +10,8 @@ import (
 )
 
 // gmin is the floor conductance from every node to ground, S: the DC
-// ladders end on it, TranOpts.Gmin defaults to it, and the small-signal
-// analyses shunt every node with it.
+// ladders end on it, the transient shunts every node with it at every
+// step, and so do the small-signal analyses.
 const gmin = 1e-12
 
 // DC Newton convergence: every node update must fall below
@@ -44,18 +44,6 @@ type DCResult struct {
 	x          []float64
 	layout     *Layout
 	binding    uint64 // compiled.binding at solve time (Kernel.TranFrom checks it)
-}
-
-// Voltage returns a node voltage (0 for ground, error for unknown nodes).
-func (r *DCResult) Voltage(node string) (float64, error) {
-	if isGround(node) {
-		return 0, nil
-	}
-	v, ok := r.V[node]
-	if !ok {
-		return 0, fmt.Errorf("sim: no node %q in solution", node)
-	}
-	return v, nil
 }
 
 // SupplyPower sums V·I over DC voltage sources, giving the static power

@@ -34,11 +34,7 @@ R1 in mid 1k
 R2 mid 0 3k
 `)
 	r := mustOP(t, c, DCOpts{})
-	v, err := r.Voltage("mid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-7.5) > 1e-6 {
+	if v := r.V["mid"]; math.Abs(v-7.5) > 1e-6 {
 		t.Fatalf("mid = %g, want 7.5", v)
 	}
 	// Branch current through V1: 10V across 4k = 2.5 mA flowing in.
@@ -57,7 +53,7 @@ I1 0 out DC 1m
 R1 out 0 2k
 `)
 	r := mustOP(t, c, DCOpts{})
-	v, _ := r.Voltage("out")
+	v := r.V["out"]
 	if math.Abs(v-2.0) > 1e-6 {
 		t.Fatalf("out = %g, want 2 (1mA into 2k)", v)
 	}
@@ -71,7 +67,7 @@ E1 out 0 in 0 10
 R2 out 0 1k
 `)
 	r := mustOP(t, c, DCOpts{})
-	v, _ := r.Voltage("out")
+	v := r.V["out"]
 	if math.Abs(v-5) > 1e-6 {
 		t.Fatalf("out = %g, want 5", v)
 	}
@@ -85,7 +81,7 @@ G1 0 out in 0 2m
 R2 out 0 1k
 `)
 	r := mustOP(t, c, DCOpts{})
-	v, _ := r.Voltage("out")
+	v := r.V["out"]
 	// 2mA into 1k = 2V.
 	if math.Abs(v-2) > 1e-6 {
 		t.Fatalf("out = %g, want 2", v)
@@ -100,7 +96,7 @@ C1 out 0 1p
 R2 out 0 1k
 `)
 	r := mustOP(t, c, DCOpts{})
-	v, _ := r.Voltage("out")
+	v := r.V["out"]
 	if math.Abs(v-2.5) > 1e-6 {
 		t.Fatalf("out = %g, want 2.5", v)
 	}
@@ -115,7 +111,7 @@ M1 d d 0 0 nch W=10u L=1u
 .model nch nmos (vto=0.45 kp=180u lambda=0 gamma=0)
 `)
 	r := mustOP(t, c, DCOpts{})
-	v, _ := r.Voltage("d")
+	v := r.V["d"]
 	// Solve analytically: 0.5·180µ·(10/1)·(v−0.45)² = (3.3−v)/10k.
 	k := 0.5 * 180e-6 * 10
 	// Newton on the analytic equation for the reference value.
@@ -148,7 +144,7 @@ M1 d g 0 0 nch W=20u L=0.5u
 .model nch nmos (vto=0.45 kp=180u lambda=0.05 gamma=0)
 `)
 	r := mustOP(t, c, DCOpts{})
-	vd, _ := r.Voltage("d")
+	vd := r.V["d"]
 	op := r.MOS["m1"]
 	// KCL: (3.3 − vd)/2k = ID.
 	if math.Abs((3.3-vd)/2e3-op.ID) > 1e-9 {
@@ -171,7 +167,7 @@ M2 out gp vdd vdd pch W=30u L=0.5u
 .model pch pmos (vto=-0.5 kp=60u lambda=0.08)
 `)
 	r := mustOP(t, c, DCOpts{})
-	v, _ := r.Voltage("out")
+	v := r.V["out"]
 	if v < 0.2 || v > 3.1 {
 		t.Fatalf("out = %g, expected an intermediate bias point", v)
 	}
@@ -193,28 +189,19 @@ R1 out 0 1k
 	c := mustParse(t, deck)
 	// Phase 1 active: divider 1k/1k → 0.5.
 	r := mustOP(t, c, DCOpts{SwitchPhase: 1})
-	v, _ := r.Voltage("out")
+	v := r.V["out"]
 	if math.Abs(v-0.5) > 1e-4 {
 		t.Fatalf("on: out = %g, want 0.5", v)
 	}
 	// Phase 2 active: switch open → ~0.
 	r = mustOP(t, c, DCOpts{SwitchPhase: 2})
-	v, _ = r.Voltage("out")
+	v = r.V["out"]
 	if math.Abs(v) > 1e-3 {
 		t.Fatalf("off: out = %g, want ≈0", v)
 	}
 }
 
 func TestDCErrors(t *testing.T) {
-	// Unknown node query.
-	c := mustParse(t, "V1 a 0 DC 1\nR1 a 0 1k\n")
-	r := mustOP(t, c, DCOpts{})
-	if _, err := r.Voltage("zzz"); err == nil {
-		t.Fatal("expected unknown-node error")
-	}
-	if v, err := r.Voltage("0"); err != nil || v != 0 {
-		t.Fatal("ground must read 0")
-	}
 	// Bad element values caught at compile.
 	bad := mustParse(t, "R1 a 0 1k\n")
 	bad.Elements[0].Value = -5
@@ -244,8 +231,8 @@ M2 b a 0 0 nch W=50u L=0.25u
 .model nch nmos (vto=0.45 kp=180u)
 `)
 	r := mustOP(t, c, DCOpts{})
-	va, _ := r.Voltage("a")
-	vb, _ := r.Voltage("b")
+	va := r.V["a"]
+	vb := r.V["b"]
 	// KCL at both drains must hold whatever branch was found.
 	ia := r.MOS["m1"].ID
 	if math.Abs((3.3-va)/1e4-ia) > 1e-7 {
@@ -277,7 +264,7 @@ M2 b a 0 0 nch W=50u L=0.25u
 		return
 	}
 	// If it converged, KCL must hold.
-	va, _ := r.Voltage("a")
+	va := r.V["a"]
 	if math.Abs((3.3-va)/1e4-r.MOS["m1"].ID) > 1e-6 {
 		t.Fatalf("ladder result violates KCL")
 	}

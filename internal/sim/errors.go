@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // ConvergenceError is a typed Newton-convergence failure. It separates
 // "this candidate circuit cannot be solved" — the routine outcome of an
@@ -32,11 +29,4 @@ func (e *ConvergenceError) Error() string {
 		msg += " — " + e.Detail
 	}
 	return msg
-}
-
-// IsConvergence reports whether err is (or wraps) a ConvergenceError:
-// an infeasible candidate rather than an engine fault.
-func IsConvergence(err error) bool {
-	var ce *ConvergenceError
-	return errors.As(err, &ce)
 }

@@ -76,7 +76,7 @@ func TestKernelStampMatchesReference(t *testing.T) {
 
 		ws := cc.dcWS()
 		ws.prepare(cc, tc.gmin, tc.srcScale, tc.phase)
-		aK := ws.base.Clone()
+		aK := &la.Matrix{Rows: n, Cols: n, Data: append([]float64(nil), ws.base.Data...)}
 		bK := append([]float64(nil), ws.baseB...)
 		stampMOS(cc, aK, bK, x)
 

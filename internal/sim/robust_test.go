@@ -21,9 +21,6 @@ R2 mid 0 3k
 	if err == nil {
 		t.Fatal("OP with a 1-iteration budget converged")
 	}
-	if !IsConvergence(err) {
-		t.Fatalf("err = %v, not classified as a convergence failure", err)
-	}
 	var ce *ConvergenceError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want wrapped *ConvergenceError", err)
@@ -59,42 +56,28 @@ C1 out 0 1n
 	if ce.Analysis != "transient" || ce.Time <= 0 {
 		t.Fatalf("ConvergenceError = %+v", ce)
 	}
-	if !IsConvergence(err) {
-		t.Fatal("IsConvergence rejected a transient convergence failure")
-	}
 	// An engine fault — here a malformed window — must NOT classify as a
 	// convergence failure.
-	if _, err := Tran(c, TranOpts{TStop: -1, TStep: 1e-9}); err == nil || IsConvergence(err) {
+	if _, err := Tran(c, TranOpts{TStop: -1, TStep: 1e-9}); err == nil || errors.As(err, new(*ConvergenceError)) {
 		t.Fatalf("bad-window error misclassified: %v", err)
 	}
 }
 
 // TestTranGminConfigurable: a capacitively coupled node is held up only
-// by the gmin shunt. The default floor (1e-12 S) keeps it essentially
-// frozen over microseconds; a deliberately heavy 1e-3 S shunt drains it
-// with τ = C/G = 1 µs. The knob must match the DC solver's gmin semantics.
+// by the gmin shunt. The transient's floor is the DC solver's (gmin,
+// 1e-12 S), which keeps the node essentially frozen over microseconds:
+// τ = C/gmin is a thousand seconds.
 func TestTranGminConfigurable(t *testing.T) {
-	deck := `* floating cap node
+	c := mustParse(t, `* floating cap node
 V1 in 0 PWL(0 0 1n 1)
 C1 in out 1n
-`
-	run := func(gmin float64) float64 {
-		c := mustParse(t, deck)
-		res, err := Tran(c, TranOpts{TStop: 5e-6, TStep: 10e-9, UseICs: true, Gmin: gmin})
-		if err != nil {
-			t.Fatalf("gmin=%g: %v", gmin, err)
-		}
-		v, err := res.At("out", 5e-6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+`)
+	res, err := Tran(c, TranOpts{TStop: 5e-6, TStep: 10e-9, UseICs: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := run(0); v < 0.9 { // default 1e-12: node holds its coupled step
-		t.Fatalf("default gmin leaked the floating node to %g V", v)
-	}
-	if v := run(1e-3); math.Abs(v) > 0.1 { // heavy shunt: drained in 5τ
-		t.Fatalf("1e-3 S gmin left the floating node at %g V", v)
+	if v := sample(t, res, "out", 5e-6); v < 0.9 { // the node holds its coupled step
+		t.Fatalf("gmin leaked the floating node to %g V", v)
 	}
 }
 
@@ -165,10 +148,7 @@ C1 out 0 1n
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := res.At("out", 4e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := sample(t, res, "out", 4e-6)
 	if math.IsNaN(v) || math.Abs(v-1) > 0.05 {
 		t.Fatalf("out(4µs) = %g, want ≈1 (τ=1µs after the step)", v)
 	}

@@ -28,9 +28,6 @@ type TranOpts struct {
 	ClockPeriod float64
 	NonOverlap  float64
 	MaxNewton   int
-	// Gmin is the floor conductance from every node to ground (default
-	// 1e-12 S, the DC solver's floor).
-	Gmin float64
 	// UseICs starts from the given node voltages instead of a DC solve.
 	UseICs bool
 	ICs    map[string]float64
@@ -56,34 +53,6 @@ func (r *TranResult) Waveform(node string) ([]float64, error) {
 		return nil, fmt.Errorf("sim: no node %q in transient solution", node)
 	}
 	return v, nil
-}
-
-// At samples a waveform at time t with linear interpolation.
-func (r *TranResult) At(node string, t float64) (float64, error) {
-	w, err := r.Waveform(node)
-	if err != nil {
-		return 0, err
-	}
-	if len(r.T) == 0 {
-		return 0, fmt.Errorf("sim: empty transient result")
-	}
-	if t <= r.T[0] {
-		return w[0], nil
-	}
-	if t >= r.T[len(r.T)-1] {
-		return w[len(w)-1], nil
-	}
-	lo, hi := 0, len(r.T)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if r.T[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	frac := (t - r.T[lo]) / (r.T[hi] - r.T[lo])
-	return w[lo] + frac*(w[hi]-w[lo]), nil
 }
 
 // ClockPhase reports which non-overlapping phase is active at time t.
@@ -212,7 +181,7 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 	phase := ClockPhase(t, tr.opts.ClockPeriod, tr.opts.NonOverlap)
 	copy(tr.stepA.Data, cc.phaseBase(phase).Data)
 	for i := 0; i < len(l.Nodes); i++ {
-		tr.stepA.Add(i, i, tr.opts.Gmin)
+		tr.stepA.Add(i, i, gmin)
 	}
 	for i := range tr.stepB {
 		tr.stepB[i] = 0
@@ -469,9 +438,6 @@ func (opts *TranOpts) normalize() error {
 	}
 	if opts.MaxNewton == 0 {
 		opts.MaxNewton = 80
-	}
-	if opts.Gmin == 0 {
-		opts.Gmin = gmin
 	}
 	return nil
 }

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// sample returns node's recorded value at time tp, a point of the run's
+// grid: sample k lies at k·TStep, and T[1] is TStep.
+func sample(t *testing.T, res *TranResult, node string, tp float64) float64 {
+	t.Helper()
+	w, err := res.Waveform(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w[int(math.Round(tp/res.T[1]))]
+}
+
 func TestTranRCCharge(t *testing.T) {
 	// RC step response: v(t) = 5(1 − e^{−t/τ}), τ = 1 µs.
 	c := mustParse(t, `* rc step
@@ -18,10 +29,7 @@ C1 out 0 1n
 	}
 	tau := 1e-6
 	for _, tp := range []float64{0.5e-6, 1e-6, 2e-6, 4e-6} {
-		got, err := res.At("out", tp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sample(t, res, "out", tp)
 		want := 5 * (1 - math.Exp(-(tp-1e-9)/tau))
 		if math.Abs(got-want) > 0.05 {
 			t.Fatalf("v(%g) = %g, want %g", tp, got, want)
@@ -49,8 +57,8 @@ C1 top 0 1n
 		t.Fatal(err)
 	}
 	want := math.Exp(-2.0)
-	vTrap, _ := trap.At("top", 2e-6)
-	vBE, _ := be.At("top", 2e-6)
+	vTrap := sample(t, trap, "top", 2e-6)
+	vBE := sample(t, be, "top", 2e-6)
 	if math.Abs(vTrap-want) >= math.Abs(vBE-want) {
 		t.Fatalf("trap err %g should beat BE err %g", math.Abs(vTrap-want), math.Abs(vBE-want))
 	}
@@ -67,8 +75,8 @@ R2 out 0 1MEG
 		t.Fatal(err)
 	}
 	// Peak near t = 0.25 µs should approach 1.5, trough near 0.75 µs → 0.5.
-	peak, _ := res.At("out", 0.25e-6)
-	trough, _ := res.At("out", 0.75e-6)
+	peak := sample(t, res, "out", 0.25e-6)
+	trough := sample(t, res, "out", 0.75e-6)
 	if math.Abs(peak-1.5) > 0.01 || math.Abs(trough-0.5) > 0.01 {
 		t.Fatalf("sine peaks: %g / %g", peak, trough)
 	}
@@ -83,10 +91,10 @@ R1 in 0 1k
 	if err != nil {
 		t.Fatal(err)
 	}
-	v0, _ := res.At("in", 50e-9)  // before delay
-	v1, _ := res.At("in", 200e-9) // during pulse
-	v2, _ := res.At("in", 400e-9) // after pulse
-	v3, _ := res.At("in", 700e-9) // second period, pulse high again
+	v0 := sample(t, res, "in", 50e-9)  // before delay
+	v1 := sample(t, res, "in", 200e-9) // during pulse
+	v2 := sample(t, res, "in", 400e-9) // after pulse
+	v3 := sample(t, res, "in", 700e-9) // second period, pulse high again
 	if v0 != 0 || math.Abs(v1-1) > 1e-9 || math.Abs(v2) > 1e-9 || math.Abs(v3-1) > 1e-9 {
 		t.Fatalf("pulse samples: %g %g %g %g", v0, v1, v2, v3)
 	}
@@ -136,12 +144,12 @@ C1 top 0 1p
 		t.Fatal(err)
 	}
 	// End of φ1 (t≈40n): tracked to ≈2 V (τ = 100Ω·1pF = 0.1 ns).
-	vTrack, _ := res.At("top", 40e-9)
+	vTrack := sample(t, res, "top", 40e-9)
 	if math.Abs(vTrack-2) > 0.01 {
 		t.Fatalf("tracking failed: %g", vTrack)
 	}
 	// During φ2 (t≈80n): held.
-	vHold, _ := res.At("top", 80e-9)
+	vHold := sample(t, res, "top", 80e-9)
 	if math.Abs(vHold-2) > 0.02 {
 		t.Fatalf("hold droop: %g", vHold)
 	}
@@ -161,8 +169,8 @@ CL d 0 10f
 	if err != nil {
 		t.Fatal(err)
 	}
-	vHighIn, _ := res.At("d", 50e-9) // input high → output low
-	vLowIn, _ := res.At("d", 10e-9)  // input low → output high
+	vHighIn := sample(t, res, "d", 50e-9) // input high → output low
+	vLowIn := sample(t, res, "d", 10e-9)  // input low → output high
 	if vHighIn > 0.5 {
 		t.Fatalf("output should pull low, got %g", vHighIn)
 	}
@@ -204,7 +212,7 @@ C1 top 0 1n
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := res.At("top", 1e-6) // one τ later: 2/e
+	v := sample(t, res, "top", 1e-6) // one τ later: 2/e
 	want := 2 / math.E
 	if math.Abs(v-want) > 0.03 {
 		t.Fatalf("discharge v(τ) = %g, want %g", v, want)
@@ -222,8 +230,8 @@ R1 in 0 1k
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, _ := res.At("in", 2e-9)
-	late, _ := res.At("in", 35e-9)
+	early := sample(t, res, "in", 2e-9)
+	late := sample(t, res, "in", 35e-9)
 	if math.Abs(early-1) > 1e-9 || math.Abs(late-2) > 1e-9 {
 		t.Fatalf("PWL edges: early=%g late=%g", early, late)
 	}
@@ -236,13 +244,13 @@ V1 in 0 PULSE(0 1 5n 1n 1n 5n 0)
 R1 in 0 1k
 `
 	c := mustParse(t, src)
-	c.Find("v1").Src.Pulse.PER = 0
+	c.Elements[0].Src.Pulse.PER = 0
 	res, err := Tran(c, TranOpts{TStop: 40e-9, TStep: 0.5e-9, UseICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	during, _ := res.At("in", 8e-9)
-	after, _ := res.At("in", 30e-9)
+	during := sample(t, res, "in", 8e-9)
+	after := sample(t, res, "in", 30e-9)
 	if math.Abs(during-1) > 1e-9 || math.Abs(after) > 1e-9 {
 		t.Fatalf("one-shot pulse: during=%g after=%g", during, after)
 	}

@@ -199,20 +199,3 @@ func Translate(adc ADCSpec, cfg enum.Config) ([]MDACSpec, error) {
 	}
 	return specs, nil
 }
-
-// TailStagePower estimates the power of one implied 2-bit tail stage using
-// the closed-form model (the tail is identical across candidates, so only
-// its rough magnitude matters for full-ADC numbers; the comparison figures
-// exclude it exactly as the paper does).
-func TailStagePower(adc ADCSpec) float64 {
-	adc.FillDefaults()
-	// A late 2-bit stage settles to a few bits: tiny caps, minimum-ish
-	// current. Model: gm for f_cl at β=1/2 driving 4·CapMin, plus two
-	// comparators.
-	p := adc.Process
-	tHalf := 1 / (2 * adc.SampleRate)
-	tau := (0.75 * tHalf) / math.Log(1/0.01)
-	gm := 2 * math.Pi / tau * (4 * p.CapMin) * 2
-	id := gm * 0.2 / 2              // square-law I = gm·Vov/2
-	return p.VDD * (2*id + 2*20e-6) // amp (2 branches) + 2 comparators
-}

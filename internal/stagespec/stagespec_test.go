@@ -157,10 +157,3 @@ func TestTranslateInvariantsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTailStagePower(t *testing.T) {
-	p := TailStagePower(adc13())
-	if p <= 0 || p > 5e-3 {
-		t.Fatalf("tail stage power = %g W, outside plausible range", p)
-	}
-}

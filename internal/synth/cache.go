@@ -33,14 +33,13 @@ func init() {
 }
 
 // Canonical returns a copy of o with the execution-only knobs cleared —
-// WarmStart (see package comment), Workers, Pool, Cache, EvalHook, and
-// Progress can never change the result — and the zero fields normalized
-// to their defaults. Two Options with equal Canonical forms request the
-// same synthesis; CacheKey and the service-level study content address
-// both hash this form.
+// WarmStart (see package comment), Pool, Cache, EvalHook, and Progress
+// can never change the result — and the zero fields normalized to their
+// defaults. Two Options with equal Canonical forms request the same
+// synthesis; CacheKey and the service-level study content address both
+// hash this form.
 func (o Options) Canonical() Options {
 	o.WarmStart = nil
-	o.Workers = 0
 	o.Pool = nil
 	o.Cache = nil
 	o.EvalHook = nil

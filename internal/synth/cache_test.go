@@ -11,6 +11,7 @@ import (
 	"pipesyn/internal/hybrid"
 	"pipesyn/internal/opamp"
 	"pipesyn/internal/pdk"
+	"pipesyn/internal/sched"
 )
 
 func TestCacheKeyStability(t *testing.T) {
@@ -26,11 +27,11 @@ func TestCacheKeyStability(t *testing.T) {
 
 	// Execution knobs and the warm-start seed must not move the key.
 	same := opts
-	same.Workers = 8
+	same.Pool = sched.NewPool(8)
 	same.Cache, _ = NewCache(1, "")
 	same.WarmStart = opamp.MillerSizing{W1: 1e-6}
 	if CacheKey(spec, proc, same) != key {
-		t.Fatal("Workers/Cache/WarmStart leaked into the key")
+		t.Fatal("Pool/Cache/WarmStart leaked into the key")
 	}
 	// Zero options normalize to their defaults, so explicit defaults
 	// share the address with implied ones.

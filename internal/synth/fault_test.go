@@ -136,7 +136,7 @@ func TestSynthesizeDeadlineParallelRestarts(t *testing.T) {
 	startT := time.Now()
 	_, err := Synthesize(ctx, spec, proc, Options{
 		Seed: 13, MaxEvals: 1000, Mode: hybrid.EquationOnly,
-		Restarts: 4, Workers: 4,
+		Restarts: 4, Pool: sched.NewPool(4),
 		EvalHook: stallHook,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -155,7 +155,7 @@ func TestSynthesizePanicIsolated(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	_, err := Synthesize(context.Background(), spec, proc, Options{
 		Seed: 17, MaxEvals: 50, Mode: hybrid.EquationOnly,
-		Restarts: 2, Workers: 2,
+		Restarts: 2, Pool: sched.NewPool(2),
 		EvalHook: func(context.Context, int) error {
 			panic("injected evaluator fault")
 		},

@@ -8,6 +8,7 @@ import (
 
 	"pipesyn/internal/hybrid"
 	"pipesyn/internal/opamp"
+	"pipesyn/internal/sched"
 )
 
 // TestSurrogateFitRecoversQuadratic: the per-coordinate least-squares
@@ -138,20 +139,20 @@ func TestSynthesizeSurrogateDeterministic(t *testing.T) {
 // count.
 func TestSynthesizeSurrogateWorkerIdentity(t *testing.T) {
 	spec, proc := lateStageSpec(t)
-	run := func(workers int) *Result {
+	run := func(pool *sched.Pool) *Result {
 		res, err := Synthesize(context.Background(), spec, proc, Options{
 			Seed: 9, MaxEvals: 120, PatternIter: 30,
 			Mode: hybrid.EquationOnly, Surrogate: true,
-			Restarts: 3, Workers: workers,
+			Restarts: 3, Pool: pool,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := run(1)
+	serial := run(nil)
 	for _, w := range []int{2, 8} {
-		if got := run(w); !reflect.DeepEqual(got, serial) {
+		if got := run(sched.NewPool(w)); !reflect.DeepEqual(got, serial) {
 			t.Fatalf("workers=%d diverged from serial:\n%+v\n%+v", w, got, serial)
 		}
 	}

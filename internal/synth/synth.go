@@ -58,14 +58,12 @@ type Options struct {
 	// be low-variance (the figure-reproduction sweeps do).
 	Restarts int
 
-	// Workers bounds the goroutines fanning the restarts out. Each
-	// restart owns a deterministic RNG (Seed + r·9973) and the outcomes
-	// reduce in restart order, so the result is identical for any worker
-	// count. 0 or 1 runs serially.
-	Workers int
-	// Pool, when set, supplies a shared worker budget instead of Workers
+	// Pool, when set, fans the restarts out over a shared worker budget
 	// — the study scheduler passes its own pool down so a whole sweep
-	// respects one machine-wide bound. Never part of the cache key.
+	// respects one machine-wide bound; nil runs them serially. Each
+	// restart owns a deterministic RNG (Seed + r·9973) and the outcomes
+	// reduce in restart order, so the result is identical for any pool.
+	// Never part of the cache key.
 	Pool *sched.Pool
 	// Cache, when set, short-circuits Synthesize with a previous result
 	// for the same content address (see CacheKey) and records new
@@ -152,8 +150,8 @@ var runRestart = synthesizeOnce
 
 // Synthesize sizes the MDAC amplifier for the given stage spec at minimum
 // power subject to the block constraints. With Restarts > 1 the whole
-// pipeline repeats from fresh seeds — in parallel when Workers or Pool
-// allow — and the best outcome wins. The reduction over restarts happens
+// pipeline repeats from fresh seeds — in parallel when a Pool is set —
+// and the best outcome wins. The reduction over restarts happens
 // in restart order, so the result does not depend on the worker count.
 //
 // Cancelling ctx aborts the search within one evaluation granule and
@@ -187,12 +185,8 @@ func Synthesize(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Process,
 		res, evals, err := runRestart(ctx, spec, proc, runOpts)
 		outs[r] = restartOut{res: res, evals: evals, err: err}
 	}
-	if opts.Restarts > 1 && (opts.Pool != nil || opts.Workers > 1) {
-		pool := opts.Pool
-		if pool == nil {
-			pool = sched.NewPool(opts.Workers)
-		}
-		if err := pool.ForEach(ctx, opts.Restarts, oneRestart); err != nil {
+	if opts.Restarts > 1 && opts.Pool != nil {
+		if err := opts.Pool.ForEach(ctx, opts.Restarts, oneRestart); err != nil {
 			// Cancellation or an isolated worker panic: the per-restart
 			// outputs are partial, so surface the fault instead of
 			// reducing over them.

@@ -11,6 +11,7 @@ import (
 	"pipesyn/internal/hybrid"
 	"pipesyn/internal/opamp"
 	"pipesyn/internal/pdk"
+	"pipesyn/internal/sched"
 	"pipesyn/internal/stagespec"
 )
 
@@ -113,7 +114,7 @@ func TestParallelRestartsMatchSerial(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		opts := base
-		opts.Workers = workers
+		opts.Pool = sched.NewPool(workers)
 		par, err := Synthesize(context.Background(), spec, proc, opts)
 		if err != nil {
 			t.Fatal(err)

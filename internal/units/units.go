@@ -105,15 +105,6 @@ func isExpTail(s string) bool {
 	return len(s) > 0 && s[0] >= '0' && s[0] <= '9'
 }
 
-// MustParse is Parse for programmer-supplied literals; it panics on error.
-func MustParse(s string) float64 {
-	v, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // Format renders v with an engineering suffix and the given unit, choosing
 // the scale so that the mantissa lies in [1, 1000) where possible:
 // Format(2.5e-6, "F") == "2.5uF".
@@ -145,9 +136,3 @@ func trimFloat(v float64) string {
 
 // DB converts a magnitude ratio to decibels (20·log10).
 func DB(ratio float64) float64 { return 20 * math.Log10(ratio) }
-
-// FromDB converts decibels to a magnitude ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/20) }
-
-// PowerDB converts a power ratio to decibels (10·log10).
-func PowerDB(ratio float64) float64 { return 10 * math.Log10(ratio) }
