@@ -61,11 +61,11 @@ lane_race() {
     # reuse-vs-full-Newton tolerance, ordered-pivot equivalence,
     # warm-kernel isolation (rebound kernel and evaluator bitwise equal to
     # a cold compile), and shared loop transfer function (eight evaluators
-    # racing to its first compile, bitwise equal to serial) and transient
-    # Newton cycle-cut (bitwise equal to running every loop to MaxNewton)
-    # tests under the race detector — the correctness contract of the
-    # fast path.
-    "$GO" test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot|Warm|SharedLoopTF|CycleCut' \
+    # racing to its first compile, bitwise equal to serial), transient
+    # Newton cycle-cut (bitwise equal to running every loop to MaxNewton),
+    # trapezoidal device-cap order, and root-found loop crossover tests
+    # under the race detector — the correctness contract of the fast path.
+    "$GO" test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot|Warm|SharedLoopTF|CycleCut|DeviceCapSecondOrder|CrossoverRootFind' \
         ./internal/la ./internal/sim ./internal/hybrid ./internal/synth
 }
 

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,22 +263,23 @@ func TestClusterPeerCacheFill(t *testing.T) {
 	first := waitDone(t, nodes[0].url, sub.ID, 60*time.Second)
 
 	// Let the async push replication quiesce: every fresh entry reaches
-	// its cache-key ring owner before the cold node asks.
-	waitPushes := func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			pending := int64(0)
-			for _, tn := range nodes {
-				pending += tn.node.PendingPushes()
-			}
-			if pending == 0 {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
+	// its cache-key ring owner before the cold node asks. Each node's
+	// backlog is the adcsynd_cluster_cache_push_pending gauge on its
+	// /metrics.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		pending := int64(0)
+		for _, tn := range nodes {
+			pending += scrapeGauge(t, tn.url, "adcsynd_cluster_cache_push_pending")
 		}
-		t.Fatal("cache pushes never drained")
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cache pushes never drained")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	waitPushes()
 
 	// Pick a node that did no work: its only copies are peer copies.
 	var cold *testNode
@@ -442,4 +445,26 @@ func TestClusterForwardedLookupMiss(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("fan-out lookup: HTTP %d, want 200", resp2.StatusCode)
 	}
+}
+
+// scrapeGauge reads one unlabelled sample from a node's /metrics.
+func scrapeGauge(t *testing.T, url, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s/metrics has no %s sample", url, name)
+	return 0
 }

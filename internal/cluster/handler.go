@@ -279,6 +279,9 @@ func (n *Node) writeClusterMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE adcsynd_cluster_cache_push_total counter\n")
 	fmt.Fprintf(w, "adcsynd_cluster_cache_push_total{result=\"sent\"} %d\n", n.pushSent.Load())
 	fmt.Fprintf(w, "adcsynd_cluster_cache_push_total{result=\"dropped\"} %d\n", n.pushDropped.Load())
+	fmt.Fprintf(w, "# HELP adcsynd_cluster_cache_push_pending Cache pushes queued or in flight to ring owners.\n")
+	fmt.Fprintf(w, "# TYPE adcsynd_cluster_cache_push_pending gauge\n")
+	fmt.Fprintf(w, "adcsynd_cluster_cache_push_pending %d\n", n.pushPending.Load())
 
 	fmt.Fprintf(w, "# HELP adcsynd_cluster_replicated_total Job claims replicated, by direction.\n")
 	fmt.Fprintf(w, "# TYPE adcsynd_cluster_replicated_total counter\n")

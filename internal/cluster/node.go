@@ -572,10 +572,13 @@ func (n *Node) CachePush(key string, res *synth.Result) {
 	if owner == n.cfg.Self {
 		return // already at the authority
 	}
+	// Count the push before it is queued, so the pending gauge never
+	// reads zero while an entry waits in the queue.
+	n.pushPending.Add(1)
 	select {
 	case n.pushq <- pushItem{key, res}:
-		n.pushPending.Add(1)
 	default:
+		n.pushPending.Add(-1)
 		n.pushDropped.Add(1)
 	}
 }

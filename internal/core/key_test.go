@@ -97,7 +97,7 @@ func TestStudyKeyGolden(t *testing.T) {
 		Bits: 10, SampleRate: 40e6, Mode: hybrid.Hybrid,
 		Synth: synth.Options{Seed: 7, MaxEvals: 16, PatternIter: 8},
 	}
-	const want = "33082f727750ebf3b1848fdafae41d24281e08a7d36c85862362492c2b61a0c1"
+	const want = "2f49bd55df6622b6fa4bcce61583a4475f704a6dfc30fd352ea204bc16a0fedc"
 	if got := StudyKey(opts); got != want {
 		t.Fatalf("StudyKey drifted: got %s, want %s (key version %d)", got, want, synth.KeyVersion)
 	}

@@ -435,29 +435,64 @@ type loopMet struct {
 	gain0, crossover, pm float64
 }
 
-// loopMetrics extracts the loop-gain metrics from the bound program with
-// an adaptive two-pass sweep: a coarse pass brackets the unity crossing,
-// a fine pass around it pins down the crossover and phase margin.
+// loopMetrics extracts the loop-gain metrics from the bound program. A
+// coarse 8-points-per-decade pass gives the DC gain and brackets the
+// first unity crossing; inside that bracket a bracketed secant search
+// (Illinois) on ln|T| over log f finds the crossover, and the phase
+// margin is read at the root, unwrapped against the bracket's left
+// sample.
 func (se *StageEvaluator) loopMetrics() (loopMet, error) {
-	met, err := se.sweepProgram(1e3, 100e9, 8)
-	if err != nil || !(met.crossover > 0) {
-		return met, err
+	fold, err := se.sweepProgram(1e3, 100e9, 8)
+	if err != nil || !(fold.met.crossover > 0) {
+		return fold.met, err
 	}
-	fine, err := se.sweepProgram(met.crossover/3, met.crossover*3, 40)
-	if err != nil {
-		return loopMet{}, err
+	met := fold.met
+	a, b := math.Log10(fold.lo.f), math.Log10(fold.prev.f)
+	ga, gb := math.Log(fold.lo.mag), math.Log(fold.prev.mag)
+	var u float64
+	var v complex128
+	kept := 0 // the endpoint the last iteration kept: -1 a, +1 b
+	for it := 0; it < 60; it++ {
+		u = b - gb*(b-a)/(gb-ga)
+		if v, err = se.loopGain(math.Pow(10, u)); err != nil {
+			return loopMet{}, err
+		}
+		g := math.Log(cmplxAbs(v))
+		if math.Abs(g) <= 1e-12 || u == a || u == b {
+			break
+		}
+		// Illinois: an endpoint kept twice in a row has its value
+		// halved, so the secant stops creeping up on one side.
+		if g > 0 {
+			if a, ga = u, g; kept == 1 {
+				gb /= 2
+			}
+			kept = 1
+		} else {
+			if b, gb = u, g; kept == -1 {
+				ga /= 2
+			}
+			kept = -1
+		}
 	}
-	if fine.crossover > 0 {
-		met.crossover, met.pm = fine.crossover, fine.pm
-	}
+	met.crossover = math.Pow(10, u)
+	met.pm = phaseMargin(unwrap(phaseDeg(v), fold.lo.phase))
 	return met, nil
 }
 
-// sweepProgram folds the bound program's loop gain T = −V(fb)/V(drive)
-// over a log-frequency grid — the "numerical transfer function" leg of
-// the hybrid evaluator — and stops at the first unity crossing, past
-// which the fold reads nothing.
-func (se *StageEvaluator) sweepProgram(fLo, fHi float64, ppd int) (loopMet, error) {
+// loopGain evaluates the bound program's loop gain T = −V(fb)/V(drive)
+// at frequency f — the "numerical transfer function" leg of the hybrid
+// evaluator.
+func (se *StageEvaluator) loopGain(f float64) (complex128, error) {
+	se.slot[se.tf.sIdx] = complex(0, 2*math.Pi*f)
+	v, err := se.tf.prog.EvalCInto(&se.buf, se.slot)
+	return -v, err
+}
+
+// sweepProgram folds the bound program's loop gain over a log-frequency
+// grid and stops at the first unity crossing, past which the fold reads
+// nothing.
+func (se *StageEvaluator) sweepProgram(fLo, fHi float64, ppd int) (loopFold, error) {
 	decades := math.Log10(fHi / fLo)
 	n := int(decades*float64(ppd)) + 1
 	if n < 2 {
@@ -466,58 +501,77 @@ func (se *StageEvaluator) sweepProgram(fLo, fHi float64, ppd int) (loopMet, erro
 	var fold loopFold
 	for i := 0; i < n; i++ {
 		f := fLo * math.Pow(10, decades*float64(i)/float64(n-1))
-		se.slot[se.tf.sIdx] = complex(0, 2*math.Pi*f)
-		v, err := se.tf.prog.EvalCInto(&se.buf, se.slot)
+		v, err := se.loopGain(f)
 		if err != nil {
-			return loopMet{}, err
+			return loopFold{}, err
 		}
-		if fold.add(f, -v) {
+		if fold.add(f, v) {
 			break
 		}
 	}
-	return fold.met, nil
+	return fold, nil
 }
+
+// loopSample is one loop-gain sample: frequency, magnitude, and phase in
+// degrees, unwrapped against the samples before it.
+type loopSample struct{ f, mag, phase float64 }
 
 // loopFold extracts the DC loop gain, the first unity crossover and the
 // phase margin there from loop-gain samples added in frequency order,
-// unwrapping the phase from sample to sample.
+// unwrapping the phase from sample to sample. The crossover and phase
+// margin interpolate linearly between the samples around the crossing:
+// lo, the last one at or above unity, and prev, the first one below.
 type loopFold struct {
-	met                       loopMet
-	started                   bool
-	prevF, prevMag, prevPhase float64
+	met      loopMet
+	started  bool
+	prev, lo loopSample
 }
 
 // add folds in the sample v at frequency f. It reports true once the
 // first crossing is found: no later sample changes the result.
 func (fd *loopFold) add(f float64, v complex128) bool {
-	mag := cmplxAbs(v)
-	phase := math.Atan2(imag(v), real(v)) * 180 / math.Pi
+	cur := loopSample{f, cmplxAbs(v), phaseDeg(v)}
 	if !fd.started {
-		fd.started, fd.met.gain0 = true, mag
+		fd.started, fd.met.gain0 = true, cur.mag
 	} else {
-		for phase-fd.prevPhase > 180 {
-			phase -= 360
-		}
-		for phase-fd.prevPhase < -180 {
-			phase += 360
-		}
-		if fd.met.crossover == 0 && fd.prevMag >= 1 && mag < 1 {
-			frac := (fd.prevMag - 1) / (fd.prevMag - mag)
-			lf := math.Log10(fd.prevF) + frac*(math.Log10(f)-math.Log10(fd.prevF))
+		cur.phase = unwrap(cur.phase, fd.prev.phase)
+		if fd.met.crossover == 0 && fd.prev.mag >= 1 && cur.mag < 1 {
+			frac := (fd.prev.mag - 1) / (fd.prev.mag - cur.mag)
+			lf := math.Log10(fd.prev.f) + frac*(math.Log10(f)-math.Log10(fd.prev.f))
 			fd.met.crossover = math.Pow(10, lf)
-			phAt := fd.prevPhase + frac*(phase-fd.prevPhase)
-			pm := 180 + phAt
-			for pm > 360 {
-				pm -= 360
-			}
-			for pm < -360 {
-				pm += 360
-			}
-			fd.met.pm = pm
+			fd.met.pm = phaseMargin(fd.prev.phase + frac*(cur.phase-fd.prev.phase))
+			fd.lo = fd.prev
 		}
 	}
-	fd.prevF, fd.prevMag, fd.prevPhase = f, mag, phase
+	fd.prev = cur
 	return fd.met.crossover != 0
+}
+
+// phaseDeg is v's principal phase in degrees.
+func phaseDeg(v complex128) float64 { return math.Atan2(imag(v), real(v)) * 180 / math.Pi }
+
+// unwrap shifts phase by whole turns to within 180° of ref.
+func unwrap(phase, ref float64) float64 {
+	for phase-ref > 180 {
+		phase -= 360
+	}
+	for phase-ref < -180 {
+		phase += 360
+	}
+	return phase
+}
+
+// phaseMargin is 180° plus the loop phase at the crossover, folded into
+// [−360°, 360°].
+func phaseMargin(phase float64) float64 {
+	pm := 180 + phase
+	for pm > 360 {
+		pm -= 360
+	}
+	for pm < -360 {
+		pm += 360
+	}
+	return pm
 }
 
 func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }

@@ -157,38 +157,27 @@ func loopMetricsFromRef(freqs []float64, vals []complex128) loopMet {
 	return met
 }
 
-// fullGridMetrics is the two-pass sweep without the early stop: every
-// grid point of both passes evaluated, each pass folded by the oracle.
-func fullGridMetrics(t *testing.T, tf *loopTF, slot []complex128) loopMet {
+// refSweep folds the program's loop gain over a 400-points-per-decade
+// grid from 1 kHz with the oracle fold, up to its first crossing.
+func refSweep(t *testing.T, tf *loopTF, slot []complex128) loopMet {
 	t.Helper()
 	vals := append([]complex128(nil), slot...)
-	pass := func(fLo, fHi float64, ppd int) loopMet {
-		decades := math.Log10(fHi / fLo)
-		n := int(decades*float64(ppd)) + 1
-		if n < 2 {
-			n = 2
+	const ppd = 400
+	var freqs []float64
+	var h []complex128
+	for i := 0; i <= 8*ppd; i++ {
+		f := 1e3 * math.Pow(10, float64(i)/ppd)
+		vals[tf.sIdx] = complex(0, 2*math.Pi*f)
+		v, err := tf.prog.EvalC(vals)
+		if err != nil {
+			t.Fatal(err)
 		}
-		freqs := make([]float64, n)
-		h := make([]complex128, n)
-		for i := range freqs {
-			freqs[i] = fLo * math.Pow(10, decades*float64(i)/float64(n-1))
-			vals[tf.sIdx] = complex(0, 2*math.Pi*freqs[i])
-			v, err := tf.prog.EvalC(vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h[i] = -v
-		}
-		return loopMetricsFromRef(freqs, h)
-	}
-	met := pass(1e3, 100e9, 8)
-	if met.crossover > 0 {
-		fine := pass(met.crossover/3, met.crossover*3, 40)
-		if fine.crossover > 0 {
-			met.crossover, met.pm = fine.crossover, fine.pm
+		freqs, h = append(freqs, f), append(h, -v)
+		if len(h) > 1 && cmplxAbs(h[len(h)-2]) >= 1 && cmplxAbs(h[len(h)-1]) < 1 {
+			break
 		}
 	}
-	return met
+	return loopMetricsFromRef(freqs, h)
 }
 
 func sameBits(a, b loopMet) bool {
@@ -197,27 +186,51 @@ func sameBits(a, b loopMet) bool {
 		math.Float64bits(a.pm) == math.Float64bits(b.pm)
 }
 
-// TestEarlyStopMatchesFullGrid: stopping each pass at its first unity
-// crossing changes no bit of the loop metrics, against every grid point
-// folded by the replaced full-grid loop — for real sizings of both
-// topologies, and for synthetic samples without a crossing, with two
-// crossings, and with a phase wrap before the crossing.
-func TestEarlyStopMatchesFullGrid(t *testing.T) {
+// TestCrossoverRootFind: for real sizings of both topologies, the
+// root-found crossover has |T(fc)| within 1e-9 of 1, and it and the
+// phase margin agree with the interpolated first crossing of a
+// 400-points-per-decade sweep to 1e-4 relative and 0.01°. The DC gain
+// is the coarse pass's first sample, so it matches bit for bit.
+func TestCrossoverRootFind(t *testing.T) {
 	st := relaxedStage(t)
 	for _, topo := range []opamp.Topology{opamp.Miller, opamp.Telescopic} {
 		se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
+		var worstF, worstPM float64
 		for k, sz := range perturbedSizings(t, topo, 20) {
 			m, err := se.Evaluate(context.Background(), sz)
 			if err != nil {
 				t.Fatalf("%v #%d: %v", topo, k, err)
 			}
-			got := loopMet{m.LoopGain0, m.CrossoverHz, m.PhaseMargin}
-			if want := fullGridMetrics(t, se.tf, se.slot); !sameBits(got, want) {
-				t.Fatalf("%v #%d: early-stopped %+v, full grid %+v", topo, k, got, want)
+			if !(m.CrossoverHz > 0) {
+				t.Fatalf("%v #%d: no crossover", topo, k)
+			}
+			v, err := se.loopGain(m.CrossoverHz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(cmplxAbs(v) - 1); d > 1e-9 {
+				t.Fatalf("%v #%d: |T(%g)| = 1%+.3g, want within 1e-9 of 1", topo, k, m.CrossoverHz, d)
+			}
+			ref := refSweep(t, se.tf, se.slot)
+			dF := math.Abs(m.CrossoverHz/ref.crossover - 1)
+			dPM := math.Abs(m.PhaseMargin - ref.pm)
+			worstF, worstPM = math.Max(worstF, dF), math.Max(worstPM, dPM)
+			if math.Float64bits(m.LoopGain0) != math.Float64bits(ref.gain0) || dF > 1e-4 || dPM > 0.01 {
+				t.Fatalf("%v #%d: root-found gain %g, crossover %g, PM %g; 400-ppd sweep %+v",
+					topo, k, m.LoopGain0, m.CrossoverHz, m.PhaseMargin, ref)
 			}
 		}
+		t.Logf("%v: worst crossover %.2g relative, worst PM %.2g°", topo, worstF, worstPM)
 	}
+}
 
+// TestEarlyStopMatchesFullGrid: the streaming fold, which the coarse
+// pass and SimOnly's AC sweep both use, stops at its first unity
+// crossing and changes no bit of the loop metrics against every sample
+// folded by the replaced full-grid loop — for samples without a
+// crossing, with two crossings, and with a phase wrap before the
+// crossing.
+func TestEarlyStopMatchesFullGrid(t *testing.T) {
 	freqs := []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 	polar := func(mags, degs []float64) []complex128 {
 		v := make([]complex128, len(mags))

@@ -47,20 +47,23 @@ type Stage struct {
 	Process *pdk.Process
 }
 
-// StepDelay is when the residue step fires in transient tests.
-const StepDelay = 2e-9
+// StepDelay is when the residue step fires in transient tests. The hold
+// circuit starts at its operating point, so the steps before the edge
+// integrate nothing; 0.25 ns is four steps of the settling grid at
+// 40 MS/s.
+const StepDelay = 0.25e-9
 
 // StepRise is the step source's rise time.
 const StepRise = 50e-12
 
 // SettleSpan is the transient every settling check of the hold circuit
 // runs: from t = 0 to 1.5 settling windows (TSlew + TSettle) past the
-// residue step, on fixed steps of window/300. The step is not a knob:
+// residue step, on fixed steps of window/200. The step is not a knob:
 // hybrid's TestSettleAccuracyAgainstFineGrid holds the evaluator on this
 // grid to a window/3200 reference.
 func (st Stage) SettleSpan() (tStop, tStep float64) {
 	window := st.Spec.TSlew + st.Spec.TSettle
-	return StepDelay + 1.5*window, window / 300
+	return StepDelay + 1.5*window, window / 200
 }
 
 // HoldCircuit builds the hold-phase closed loop:

@@ -3,12 +3,13 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"pipesyn/internal/pdk"
 	"pipesyn/internal/service"
+	"pipesyn/internal/stagespec"
 )
 
 // decode runs body through the daemon's submission guards as a JSON POST.
@@ -21,9 +22,10 @@ func decode(body []byte) (service.StudyRequest, bool) {
 // FuzzStudyRequest feeds arbitrary bodies through the submit path's
 // decode and validation. Whatever StudyRequest.Options accepts must stay
 // within every bound that sizes work (a request decides how much memory
-// synthesis allocates up front), and its job key must survive a marshal
-// and decode round trip, since the journal stores the request and
-// recovery recomputes the key from it.
+// synthesis allocates up front) and within the converter-level bounds
+// the engine validates (stagespec.ADCSpec), and its job key must
+// survive a marshal and decode round trip, since the journal stores the
+// request and recovery recomputes the key from it.
 func FuzzStudyRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, ok := decode(body)
@@ -39,7 +41,7 @@ func FuzzStudyRequest(f *testing.F) {
 			name      string
 			v, lo, hi float64
 		}{
-			{"bits", bits, 4, 20},
+			{"bits", bits, 4, 16},
 			{"evals", float64(req.Evals), 0, 100000},
 			{"pattern", float64(req.Pattern), 0, 100000},
 			{"restarts", float64(req.Restarts), 0, 64},
@@ -47,8 +49,8 @@ func FuzzStudyRequest(f *testing.F) {
 			{"raceEta", float64(req.RaceEta), 0, 16},
 			{"draws", float64(req.Draws), 0, 100000},
 			{"minEnob", req.MinENOB, 0, bits},
-			{"fs", req.SampleRate, 0, math.Inf(1)},
-			{"vref", req.VRef, 0, math.Inf(1)},
+			{"fs", req.SampleRate, 0, stagespec.MaxSampleRate},
+			{"vref", req.VRef, 0, pdk.TSMC025().VDD},
 		} {
 			if !(b.v >= b.lo && b.v <= b.hi) {
 				t.Fatalf("accepted %s = %g outside [%g, %g]: %s", b.name, b.v, b.lo, b.hi, body)

@@ -126,9 +126,9 @@ func TestRecoverRequeuesQueuedAndRunning(t *testing.T) {
 // TestRecoverRejectsPreBumpKey: a job journaled before the last key
 // version bump (synth.KeyVersion) carries a content address the current
 // evaluator no longer mints. Recovery must not re-run it under that
-// address — a window/400-era key must never name a result of the
-// predicted window/300 transient — so it is finalized failed with a
-// *RecoveryError and counted.
+// address — a key of the backward-Euler-cap window/300 evaluator must
+// never name a result of the trapezoidal window/200 one — so it is
+// finalized failed with a *RecoveryError and counted.
 func TestRecoverRejectsPreBumpKey(t *testing.T) {
 	dir := t.TempDir()
 	jn, err := OpenJournal(dir)
@@ -136,8 +136,8 @@ func TestRecoverRejectsPreBumpKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := tinyReq(10, 3)
-	// JobKey of tinyReq(10, 3) as minted under KeyVersion 2.
-	const preBump = "70040bc172b1039d5f459f759dfd9882d198123abcb14608670478fa35241c6f"
+	// JobKey of tinyReq(10, 3) as minted under KeyVersion 3.
+	const preBump = "8d9e82df8912d031e818913a61fd205fac81f6ba5b13e684ef4d9b684a3f64fd"
 	opts, err := req.Options()
 	if err != nil {
 		t.Fatal(err)

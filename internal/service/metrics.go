@@ -199,7 +199,7 @@ func (m *Metrics) WriteTo(w io.Writer, snap Snapshot) {
 	fmt.Fprintf(w, "adcsynd_kernel_factorizations_total{event=%q} %d\n", "performed", snap.Kernel.Factorizations)
 	fmt.Fprintf(w, "adcsynd_kernel_factorizations_total{event=%q} %d\n", "reused", snap.Kernel.ReusedSolves)
 
-	counter("adcsynd_kernel_reuse_fallbacks_total", "Newton-reuse divergences that re-ran the iteration with full Newton.")
+	counter("adcsynd_kernel_reuse_fallbacks_total", "DC Newton-reuse divergences that re-ran the iteration with full Newton.")
 	fmt.Fprintf(w, "adcsynd_kernel_reuse_fallbacks_total %d\n", snap.Kernel.ReuseFallbacks)
 
 	counter("adcsynd_kernel_ordered_fallbacks_total", "Static-ordered factorizations that hit a zero pivot and dropped to partial pivoting.")

@@ -14,6 +14,7 @@ import (
 
 	"pipesyn/internal/core"
 	"pipesyn/internal/hybrid"
+	"pipesyn/internal/stagespec"
 	"pipesyn/internal/synth"
 	"pipesyn/internal/yield"
 )
@@ -89,11 +90,17 @@ func (r StudyRequest) JobKey(opts core.Options) string {
 // Execution knobs (workers, pool, cache, hooks) are the server's to set;
 // a request only describes the study.
 func (r StudyRequest) Options() (core.Options, error) {
-	if r.Bits < 4 || r.Bits > 20 {
-		return core.Options{}, fmt.Errorf("bits %d out of range [4, 20]", r.Bits)
-	}
 	if r.SampleRate < 0 || r.VRef < 0 || r.Evals < 0 || r.Pattern < 0 || r.Restarts < 0 {
 		return core.Options{}, fmt.Errorf("negative knob in request")
+	}
+	// The converter-level bounds are stagespec's, checked on the study
+	// the engine will run (zero rate and reference take their defaults),
+	// so a request is refused here rather than failing once queued.
+	d := core.Options{Bits: r.Bits, SampleRate: r.SampleRate, VRef: r.VRef}.WithDefaults()
+	adc := stagespec.ADCSpec{Bits: d.Bits, SampleRate: d.SampleRate, VRef: d.VRef, Process: d.Process}
+	adc.FillDefaults()
+	if err := adc.Validate(); err != nil {
+		return core.Options{}, err
 	}
 	// The budgets size the work and its memory up front (synthesis makes
 	// one slot per restart), so a request cannot ask for more than a

@@ -1,8 +1,9 @@
 // counters.go exposes kernel-level observability: how many numeric
 // factorizations the Newton loops performed, how many solves reused a
-// stale factorization (Shamanskii), how often reuse diverged and fell
-// back to full Newton, and how often the static-ordered pivot path hit a
-// zero pivot and dropped to partial pivoting. The counters are
+// stale factorization (Shamanskii), how often the DC loop's reuse
+// diverged and fell back to full Newton, and how often the
+// static-ordered pivot path hit a zero pivot and dropped to partial
+// pivoting. The counters are
 // package-global atomics, but the Newton hot loops never touch them:
 // each analysis accumulates into plain int64 fields on its kernelLU and
 // flushes once at analysis end.
@@ -18,7 +19,7 @@ import (
 type KernelStats struct {
 	Factorizations   int64 // numeric factorizations performed
 	ReusedSolves     int64 // Newton solves served by a stale factorization
-	ReuseFallbacks   int64 // reuse divergences that re-ran with full Newton
+	ReuseFallbacks   int64 // DC reuse divergences that re-ran with full Newton
 	OrderedFallbacks int64 // static-order factorizations that hit a zero pivot
 }
 

@@ -22,14 +22,14 @@ import (
 // MaxNewton. Every result and every error must agree bit for bit, and
 // cutting each cycling loop at its first exact repeat must save at
 // least half the factorizations. At the first step of each sizing where
-// the reuse loop and its full-Newton fallback both stall, the two
-// *ConvergenceErrors are compared field by field, for the fallback and
-// for a rerun of the reuse loop.
+// the reuse loop stalls, the two *ConvergenceErrors are compared field
+// by field, for the step and for a rerun of its loop from a fresh
+// factor.
 func TestTranCycleCutBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("800 settling transients")
 	}
-	var factors, reused, fallbacks [2]int64 // production, oracle
+	var factors, reused [2]int64 // production, oracle
 	stalls := 0
 	cases := settleSizings(t)
 	for _, sc := range cases {
@@ -50,7 +50,6 @@ func TestTranCycleCutBitIdentical(t *testing.T) {
 			k1 := ReadKernelStats()
 			factors[side] += k1.Factorizations - k0.Factorizations
 			reused[side] += k1.ReusedSolves - k0.ReusedSolves
-			fallbacks[side] += k1.ReuseFallbacks - k0.ReuseFallbacks
 		}
 		sameErr(t, sc.name, errs[0], errs[1])
 		if errs[0] == nil && !sameResult(res[0], res[1]) {
@@ -60,11 +59,8 @@ func TestTranCycleCutBitIdentical(t *testing.T) {
 			stalls++
 		}
 	}
-	t.Logf("%d transients, %d stalling steps compared; factorizations %d, oracle %d; reused solves %d, oracle %d; reuse fallbacks %d, oracle %d",
-		len(cases), stalls, factors[0], factors[1], reused[0], reused[1], fallbacks[0], fallbacks[1])
-	if fallbacks[0] < 100 || fallbacks[0] != fallbacks[1] {
-		t.Fatalf("%d reuse fallbacks, oracle %d: want at least 100, and the same count", fallbacks[0], fallbacks[1])
-	}
+	t.Logf("%d transients, %d stalling steps compared; factorizations %d, oracle %d; reused solves %d, oracle %d",
+		len(cases), stalls, factors[0], factors[1], reused[0], reused[1])
 	if stalls < 20 {
 		t.Fatalf("%d stalling steps compared, want at least 20", stalls)
 	}
@@ -131,10 +127,10 @@ func settleSizings(t *testing.T) []settleCase {
 }
 
 // compareFirstStall drives the production step sequence on a cut and an
-// oracle compilation of c in lockstep, up to the first step whose reuse
-// loop and full-Newton fallback both fail. It compares that step's error
-// field by field, then reruns the step's reuse loop from a fresh factor
-// on both and compares again. It reports whether such a step was found.
+// oracle compilation of c in lockstep, up to the first step whose Newton
+// loop fails. It compares that step's error field by field, then reruns
+// the step's loop from a fresh factor on both and compares again. It
+// reports whether such a step was found.
 func compareFirstStall(t *testing.T, name string, c *netlist.Circuit, opts TranOpts) bool {
 	var runs [2]*tranRun
 	var xs, nexts [2][]float64
@@ -156,7 +152,7 @@ func compareFirstStall(t *testing.T, name string, c *netlist.Circuit, opts TranO
 	for k := 1; k < steps; k++ {
 		h := math.Min(float64(k)*opts.TStep, opts.TStop) - float64(k-1)*opts.TStep
 		method := Trapezoidal
-		if k == 1 {
+		if k <= dampSteps {
 			method = BackwardEuler
 		}
 		var errs [2]error
@@ -168,7 +164,7 @@ func compareFirstStall(t *testing.T, name string, c *netlist.Circuit, opts TranO
 			for side, tr := range runs {
 				copy(nexts[side], xs[side])
 				tr.haveFactor = false
-				errs[side] = tr.newtonLoop(nexts[side], xs[side], float64(k-1)*opts.TStep+h, h, true)
+				errs[side] = tr.newtonLoop(nexts[side], float64(k-1)*opts.TStep+h, true)
 			}
 			sameErr(t, name+" (reuse loop)", errs[0], errs[1])
 			return true
@@ -177,7 +173,7 @@ func compareFirstStall(t *testing.T, name string, c *netlist.Circuit, opts TranO
 			t.Fatalf("%s: step %d state differs from the oracle's", name, k)
 		}
 		for side, tr := range runs {
-			tr.commit(xs[side], nexts[side], h, method)
+			tr.commit(xs[side], nexts[side])
 			xs[side], nexts[side] = nexts[side], xs[side]
 		}
 	}

@@ -224,28 +224,6 @@ func stampMOS(cc *compiled, a *la.Matrix, b []float64, x []float64) {
 	}
 }
 
-// stampMOSTran adds the MOS companions plus the backward-Euler Meyer
-// terminal capacitances referenced to the previous accepted step.
-func stampMOSTran(cc *compiled, a *la.Matrix, b []float64, x, xPrev []float64, h float64) {
-	var op device.OP
-	for i := range cc.mosElems {
-		m := &cc.mosElems[i]
-		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
-		m.model.EvalInto(&op, vd, vg, vs, vb)
-		stampVCCS(a, m.d, m.s, m.g, m.s, op.GM)
-		stampConductance(a, m.d, m.s, op.GDS)
-		stampVCCS(a, m.d, m.s, m.b, m.s, op.GMB)
-		ieq := op.ID - op.GM*(vg-vs) - op.GDS*(vd-vs) - op.GMB*(vb-vs)
-		addRHS(b, m.d, -ieq)
-		addRHS(b, m.s, +ieq)
-		stampMOSCap(a, b, m.g, m.s, op.CGS, xPrev, h)
-		stampMOSCap(a, b, m.g, m.d, op.CGD, xPrev, h)
-		stampMOSCap(a, b, m.g, m.b, op.CGB, xPrev, h)
-		stampMOSCap(a, b, m.d, m.b, op.CDB, xPrev, h)
-		stampMOSCap(a, b, m.s, m.b, op.CSB, xPrev, h)
-	}
-}
-
 // stampSources adds the independent sources evaluated at time t into the
 // right-hand side (their matrix incidence is part of the constant stamp).
 func stampSources(cc *compiled, b []float64, t float64) {

@@ -81,7 +81,9 @@ func TestSymbolicCoversAssembled(t *testing.T) {
 			for i := range b {
 				b[i] = 0
 			}
-			stampMOSTran(cc, a, b, x, x, 1e-9)
+			tr := newTranRun(cc, TranOpts{}, x)
+			tr.gk = 1e9
+			tr.stampMOSTran(a, b, x)
 			if !covers(cc.sym, a) {
 				t.Fatalf("trial %d phase %d: tran stamp has nonzero outside symbolic pattern", trial, phase)
 			}

@@ -84,6 +84,28 @@ type capRun struct {
 	i float64 // current at previous accepted step (for trapezoidal)
 }
 
+// mosCaps carries the companion-model memory of one MOSFET's five Meyer
+// caps, each array in device.OP order (gs, gd, gb, db, sb): the
+// capacitances at the latest Newton iterate, and the branch voltages
+// and companion currents at the last accepted step.
+type mosCaps struct {
+	c, v, i [5]float64
+}
+
+// meyerP and meyerN index each Meyer cap's terminals in a MOSFET's
+// (d, g, s, b) quadruple, in device.OP order.
+var meyerP, meyerN = [5]int{1, 1, 1, 0, 2}, [5]int{2, 0, 3, 3, 3}
+
+// load takes the device's capacitances at the iterate op was evaluated at.
+func (mc *mosCaps) load(op *device.OP) {
+	mc.c = [5]float64{op.CGS, op.CGD, op.CGB, op.CDB, op.CSB}
+}
+
+// dampSteps is how many backward-Euler steps the transient takes from
+// t = 0 and from every clock-phase change before it returns to the
+// requested method.
+const dampSteps = 2
+
 // tranRun holds everything one transient analysis reuses across steps:
 // the capacitor companion memory and the step/iteration scratch buffers.
 // An accepted step performs no heap allocation; only the rare halving
@@ -91,9 +113,15 @@ type capRun struct {
 // its tranRun between analyses, and newTranRun resets every field a run
 // reads before writing it.
 type tranRun struct {
-	cc   *compiled
-	opts TranOpts
-	caps []capRun
+	cc    *compiled
+	opts  TranOpts
+	caps  []capRun
+	mcaps []mosCaps // one per cc.mosElems entry
+
+	// The step being solved: whether it is trapezoidal, and its
+	// companion conductance per farad (2/h trapezoidal, 1/h BE).
+	trap bool
+	gk   float64
 
 	stepA *la.Matrix // step baseline: phase stamps + gmin + companions + sources
 	stepB []float64
@@ -161,20 +189,43 @@ func newTranRun(cc *compiled, opts TranOpts, x0 []float64) *tranRun {
 	for _, ce := range cc.capElems {
 		tr.caps = append(tr.caps, capRun{capElem: ce, v: nodeV(x0, ce.p) - nodeV(x0, ce.n)})
 	}
+	tr.mcaps = tr.mcaps[:0]
+	for i := range cc.mosElems {
+		m := &cc.mosElems[i]
+		volts := [4]float64{nodeV(x0, m.d), nodeV(x0, m.g), nodeV(x0, m.s), nodeV(x0, m.b)}
+		var mc mosCaps
+		for k := range mc.v {
+			mc.v[k] = volts[meyerP[k]] - volts[meyerN[k]]
+		}
+		tr.mcaps = append(tr.mcaps, mc)
+	}
 	return tr
+}
+
+// companion returns the companion model of capacitance c in the step
+// being solved: its conductance geq and the history current ih the step
+// carries (the last accepted current iOld when trapezoidal, 0 for BE).
+// The branch current at voltage v is geq·(v − vOld) − ih.
+func (tr *tranRun) companion(c, iOld float64) (geq, ih float64) {
+	if tr.trap {
+		return c * tr.gk, iOld
+	}
+	return c * tr.gk, 0
 }
 
 // solveStep runs damped Newton for one step ending at time t with width
 // h, writing the converged state into dst (must not alias xFrom). The
-// step baseline — phase conductances, gmin shunts, capacitor companions,
-// sources at t — is assembled once; each Newton iteration copies it and
-// stamps only the MOS devices. The capacitor memory is not touched.
+// step baseline — phase conductances, gmin shunts, linear capacitor
+// companions, sources at t — is assembled once; each Newton iteration
+// copies it and stamps only the MOS devices and their Meyer caps. The
+// companion memory of every capacitor is not touched.
 //
 // A trapezoidal step whose predecessor was a trapezoidal step in the
 // same phase starts from the predicted state xFrom + (h/hPrev)·(xFrom −
-// xPrev); every other step, and the full-Newton rerun below, starts from
-// xFrom. The prediction only moves the first iterate: the converged
-// state must still pass the same step test.
+// xPrev); every other step starts from xFrom. The prediction only moves
+// the first iterate: the converged state must still pass the same step
+// test. A step whose Newton loop fails returns that loop's error, and
+// advance halves it.
 func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrator) error {
 	cc := tr.cc
 	l := cc.layout
@@ -186,23 +237,22 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 	for i := range tr.stepB {
 		tr.stepB[i] = 0
 	}
+	tr.trap = method == Trapezoidal
+	if tr.trap {
+		tr.gk = 2 / h
+	} else {
+		tr.gk = 1 / h
+	}
 	for ci := range tr.caps {
 		st := &tr.caps[ci]
-		var geq, ieq float64
-		switch method {
-		case Trapezoidal:
-			geq = 2 * st.c / h
-			ieq = geq*st.v + st.i
-		case BackwardEuler:
-			geq = st.c / h
-			ieq = geq * st.v
-		}
+		geq, ih := tr.companion(st.c, st.i)
+		ieq := geq*st.v + ih
 		stampConductance(tr.stepA, st.p, st.n, geq)
 		addRHS(tr.stepB, st.p, ieq)
 		addRHS(tr.stepB, st.n, -ieq)
 	}
 	stampSources(cc, tr.stepB, t)
-	if method == Trapezoidal && tr.histTrap && tr.histPhase == phase {
+	if tr.trap && tr.histTrap && tr.histPhase == phase {
 		r := h / tr.hHist
 		for i, x := range xFrom {
 			dst[i] = x + r*(x-tr.xHist[i])
@@ -218,18 +268,7 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 		tr.haveFactor = false
 	}
 	tr.lastPhase, tr.lastH = phase, h
-	reuse := !cc.fullNewton
-	err := tr.newtonLoop(dst, xFrom, t, h, reuse)
-	if err != nil && reuse {
-		// Divergence fallback: a stale factorization can stall on hard
-		// steps; rerun the step with plain full Newton before the caller
-		// resorts to halving.
-		tr.lu.fallbacks++
-		tr.haveFactor = false
-		copy(dst, xFrom)
-		err = tr.newtonLoop(dst, xFrom, t, h, false)
-	}
-	return err
+	return tr.newtonLoop(dst, t, !cc.fullNewton)
 }
 
 // newtonLoop runs the damped Newton iteration of one step against the
@@ -238,14 +277,14 @@ func (tr *tranRun) solveStep(dst, xFrom []float64, t, h float64, method Integrat
 // solves against the stale factor, carried across steps) while the
 // damped step norm contracts; it is refreshed when convergence slows or
 // after several reuses. Without reuse every iteration refactors: the
-// divergence fallback and the full-Newton oracle.
+// full-Newton oracle.
 //
 // Everything from a fresh-factor iteration on depends only on its entry
 // dst and lastStep, and on kernelLU's pivot path. So when a fresh-factor
 // iteration enters an earlier one's state bit for bit and the path has
 // not changed in this loop, the loop cycles and cannot converge: it
 // returns at once the error of its last iteration, from the cycle's record.
-func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) error {
+func (tr *tranRun) newtonLoop(dst []float64, t float64, reuse bool) error {
 	cc := tr.cc
 	l := cc.layout
 	worstIdx, worstDelta := -1, 0.0
@@ -267,7 +306,7 @@ func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) er
 			tr.states = append(append(tr.states, dst...), lastStep)
 			copy(tr.a.Data, tr.stepA.Data)
 			copy(tr.b, tr.stepB)
-			stampMOSTran(cc, tr.a, tr.b, dst, xFrom, h)
+			tr.stampMOSTran(tr.a, tr.b, dst)
 			if err := tr.lu.factor(tr.a); err != nil {
 				return fmt.Errorf("sim: singular matrix at t=%g: %w", t, err)
 			}
@@ -281,7 +320,7 @@ func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) er
 			// evaluated directly (residualTran) — no matrix assembly.
 			tr.reuseCount++
 			tr.lu.reused++
-			tr.residualTran(tr.r, dst, xFrom, h)
+			tr.residualTran(tr.r, dst)
 			tr.lu.solveInto(tr.d, tr.r)
 			for i := range tr.xNew {
 				tr.xNew[i] = dst[i] - tr.d[i]
@@ -345,12 +384,12 @@ func (tr *tranRun) repeatOf(x []float64, lastStep float64) int {
 // residualTran evaluates the nonlinear step residual f(x) at x into r
 // without assembling the Newton system. In A(x)·x − b(x) each MOS
 // companion's matrix terms cancel algebraically against its RHS
-// contribution, leaving the raw drain current, and each Meyer-cap BE
-// companion reduces to geq·(Δv − Δvprev): so
+// contribution, leaving the raw drain current, and each Meyer-cap
+// companion reduces to its branch current geq·(v − vOld) − ih: so
 // f(x) = stepA·x − stepB + device currents. Stale-factor delta solves
 // only need this residual, which is what makes skipping the full stamp
 // on reuse iterations legal.
-func (tr *tranRun) residualTran(r, x, xPrev []float64, h float64) {
+func (tr *tranRun) residualTran(r, x []float64) {
 	cc := tr.cc
 	cc.symBase.MulVecInto(r, tr.stepA, x)
 	for i := range r {
@@ -363,41 +402,84 @@ func (tr *tranRun) residualTran(r, x, xPrev []float64, h float64) {
 		m.model.EvalInto(&op, vd, vg, vs, vb)
 		addRHS(r, m.d, op.ID)
 		addRHS(r, m.s, -op.ID)
-		capResidual(r, m.g, m.s, op.CGS, x, xPrev, h)
-		capResidual(r, m.g, m.d, op.CGD, x, xPrev, h)
-		capResidual(r, m.g, m.b, op.CGB, x, xPrev, h)
-		capResidual(r, m.d, m.b, op.CDB, x, xPrev, h)
-		capResidual(r, m.s, m.b, op.CSB, x, xPrev, h)
+		mc := &tr.mcaps[i]
+		mc.load(&op)
+		nodes, volts := [4]int{m.d, m.g, m.s, m.b}, [4]float64{vd, vg, vs, vb}
+		for k, c := range mc.c {
+			if c <= 0 {
+				continue
+			}
+			geq, ih := tr.companion(c, mc.i[k])
+			ic := geq*(volts[meyerP[k]]-volts[meyerN[k]]-mc.v[k]) - ih
+			addRHS(r, nodes[meyerP[k]], ic)
+			addRHS(r, nodes[meyerN[k]], -ic)
+		}
 	}
 }
 
-// capResidual adds a BE device-capacitance current c/h·(Δv − Δvprev) to
-// the residual (the algebraic reduction of stampMOSCap's companion).
-func capResidual(r []float64, p, n int, c float64, x, xPrev []float64, h float64) {
-	if c <= 0 {
-		return
+// stampMOSTran adds the MOS companions and their Meyer-cap companions
+// at candidate x: each cap's conductance is taken at x, its history
+// from the last accepted step.
+func (tr *tranRun) stampMOSTran(a *la.Matrix, b []float64, x []float64) {
+	cc := tr.cc
+	var op device.OP
+	for i := range cc.mosElems {
+		m := &cc.mosElems[i]
+		vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
+		m.model.EvalInto(&op, vd, vg, vs, vb)
+		stampVCCS(a, m.d, m.s, m.g, m.s, op.GM)
+		stampConductance(a, m.d, m.s, op.GDS)
+		stampVCCS(a, m.d, m.s, m.b, m.s, op.GMB)
+		ieq := op.ID - op.GM*(vg-vs) - op.GDS*(vd-vs) - op.GMB*(vb-vs)
+		addRHS(b, m.d, -ieq)
+		addRHS(b, m.s, +ieq)
+		mc := &tr.mcaps[i]
+		mc.load(&op)
+		nodes := [4]int{m.d, m.g, m.s, m.b}
+		for k, c := range mc.c {
+			if c <= 0 {
+				continue
+			}
+			geq, ih := tr.companion(c, mc.i[k])
+			ieq := geq*mc.v[k] + ih
+			p, n := nodes[meyerP[k]], nodes[meyerN[k]]
+			stampConductance(a, p, n, geq)
+			addRHS(b, p, ieq)
+			addRHS(b, n, -ieq)
+		}
 	}
-	i := (c / h) * ((nodeV(x, p) - nodeV(x, n)) - (nodeV(xPrev, p) - nodeV(xPrev, n)))
-	addRHS(r, p, i)
-	addRHS(r, n, -i)
 }
 
 // commit accepts the step solveStep just solved from xFrom to xNew: it
-// records the predictor history (solveStep left the step's phase in
-// lastPhase) and advances the capacitor companion memory.
-func (tr *tranRun) commit(xFrom, xNew []float64, h float64, method Integrator) {
+// records the predictor history (solveStep left the step's phase and
+// width in lastPhase and lastH) and advances the companion memory of
+// every capacitor. A Meyer cap's new current uses its capacitance at the
+// loop's latest iterate and its branch voltage at xNew; a cap that is
+// zero there carries no current.
+func (tr *tranRun) commit(xFrom, xNew []float64) {
 	copy(tr.xHist, xFrom)
-	tr.hHist, tr.histPhase, tr.histTrap = h, tr.lastPhase, method == Trapezoidal
+	tr.hHist, tr.histPhase, tr.histTrap = tr.lastH, tr.lastPhase, tr.trap
 	for ci := range tr.caps {
 		st := &tr.caps[ci]
 		vNew := nodeV(xNew, st.p) - nodeV(xNew, st.n)
-		switch method {
-		case Trapezoidal:
-			st.i = (2*st.c/h)*(vNew-st.v) - st.i
-		case BackwardEuler:
-			st.i = (st.c / h) * (vNew - st.v)
-		}
+		geq, ih := tr.companion(st.c, st.i)
+		st.i = geq*(vNew-st.v) - ih
 		st.v = vNew
+	}
+	cc := tr.cc
+	for i := range cc.mosElems {
+		m := &cc.mosElems[i]
+		mc := &tr.mcaps[i]
+		volts := [4]float64{nodeV(xNew, m.d), nodeV(xNew, m.g), nodeV(xNew, m.s), nodeV(xNew, m.b)}
+		for k, c := range mc.c {
+			vNew := volts[meyerP[k]] - volts[meyerN[k]]
+			iNew := 0.0
+			if c > 0 {
+				geq, ih := tr.companion(c, mc.i[k])
+				iNew = geq*(vNew-mc.v[k]) - ih
+			}
+			mc.v[k], mc.i[k] = vNew, iNew
+		}
 	}
 }
 
@@ -407,7 +489,7 @@ func (tr *tranRun) commit(xFrom, xNew []float64, h float64, method Integrator) {
 func (tr *tranRun) advance(xFrom, dst []float64, tPrev, h float64, method Integrator, depth int) error {
 	err := tr.solveStep(dst, xFrom, tPrev+h, h, method)
 	if err == nil {
-		tr.commit(xFrom, dst, h, method)
+		tr.commit(xFrom, dst)
 		return nil
 	}
 	if depth >= 10 {
@@ -515,6 +597,7 @@ func tranFromState(cc *compiled, x0 []float64, opts TranOpts) (*TranResult, erro
 	h := opts.TStep
 	tPrev := 0.0
 	prevPhase := ClockPhase(0, opts.ClockPeriod, opts.NonOverlap)
+	damp := dampSteps
 	for k := 1; k < steps; k++ {
 		t := float64(k) * h
 		// When the window is not an integer multiple of the step, the
@@ -530,14 +613,19 @@ func tranFromState(cc *compiled, x0 []float64, opts TranOpts) (*TranResult, erro
 		}
 		phase := ClockPhase(t, opts.ClockPeriod, opts.NonOverlap)
 		// Trapezoidal integration rings forever if started with a wrong
-		// capacitor-current state; take a damping backward-Euler step at
-		// t=0 and across every clock-phase discontinuity, as production
+		// capacitor-current state, and on stiff nodes one damping step is
+		// not enough: take dampSteps backward-Euler steps from t=0 and
+		// across every clock-phase discontinuity, as production
 		// simulators do after breakpoints.
-		method := opts.Method
-		if k == 1 || phase != prevPhase {
-			method = BackwardEuler
+		if phase != prevPhase {
+			damp = dampSteps
 		}
 		prevPhase = phase
+		method := opts.Method
+		if damp > 0 {
+			method = BackwardEuler
+			damp--
+		}
 		if err := run.advance(x, xNext, tPrev, hk, method, 0); err != nil {
 			return nil, err
 		}
@@ -549,19 +637,6 @@ func tranFromState(cc *compiled, x0 []float64, opts TranOpts) (*TranResult, erro
 		res.V[s.name] = s.w
 	}
 	return res, nil
-}
-
-// stampMOSCap adds a BE companion for a (possibly zero) device capacitance.
-func stampMOSCap(a *la.Matrix, b []float64, p, n int, c float64, xPrev []float64, h float64) {
-	if c <= 0 {
-		return
-	}
-	geq := c / h
-	vPrev := nodeV(xPrev, p) - nodeV(xPrev, n)
-	ieq := geq * vPrev
-	stampConductance(a, p, n, geq)
-	addRHS(b, p, ieq)
-	addRHS(b, n, -ieq)
 }
 
 // sourceValue evaluates an independent source waveform at time t.

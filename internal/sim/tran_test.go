@@ -40,7 +40,7 @@ C1 out 0 1n
 func TestTranTrapVsBE(t *testing.T) {
 	// Trapezoidal should be visibly more accurate than BE at a coarse
 	// step. Free RC discharge from an initial condition, sampled at 2τ
-	// (the simulator takes one BE start-up step in both runs).
+	// (the simulator takes two BE start-up steps in both runs).
 	deck := `* rc discharge coarse
 R1 top 0 1k
 C1 top 0 1n
@@ -292,9 +292,11 @@ func TestTranProbes(t *testing.T) {
 
 // TestTranPredictedStartCutsNewtonWork: on the evaluator's settling
 // transient, starting each trapezoidal step from the extrapolated state
-// lets the carried factor converge in about 1.46 solves per step.
-// Started from the previous state, the same run needs about 2.2, and
-// 1.8 on the finer window/400 grid.
+// lets the carried factor converge in about 1.32 solves per step on the
+// window/200 grid with trapezoidal Meyer caps (1.46 on the window/300
+// grid with backward-Euler ones, where the bound was set). Started from
+// the previous state, that window/300 run needed about 2.2, and 1.8 on
+// the finer window/400 grid.
 func TestTranPredictedStartCutsNewtonWork(t *testing.T) {
 	hold, opts := settleRun(t)
 	k0 := ReadKernelStats()
@@ -306,5 +308,46 @@ func TestTranPredictedStartCutsNewtonWork(t *testing.T) {
 	solves := k1.Factorizations - k0.Factorizations + k1.ReusedSolves - k0.ReusedSolves
 	if perStep := float64(solves) / float64(len(res.T)-1); perStep > 1.6 {
 		t.Fatalf("%.3f linear solves per transient step (DC solve included), want ≤ 1.6", perStep)
+	}
+}
+
+// TestTranDeviceCapSecondOrder: a MOSFET gate charged through a
+// resistor from a ramp, with no linear capacitor on the gate, so only
+// the device's Meyer caps integrate (the device stays saturated, so
+// they are constant). Against a fine-grid reference the largest error
+// over the shared samples must fall at least 3× when the step halves:
+// a second-order companion gives about 4×, the backward-Euler one
+// about 2×.
+func TestTranDeviceCapSecondOrder(t *testing.T) {
+	c := mustParse(t, `* gate charged through a resistor
+V1 in 0 DC 1 PWL(0 1 10n 2)
+VD d 0 DC 3.3
+R1 in g 100k
+M1 d g 0 0 nch W=10u L=1u
+.model nch nmos (vto=0.45 kp=180u)
+`)
+	const tStop, h = 20e-9, 0.5e-9
+	run := func(step float64) []float64 {
+		res, err := Tran(c, TranOpts{TStop: tStop, TStep: step, Probes: []string{"g"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.V["g"]
+	}
+	const fine = 64
+	ref := run(h / fine)
+	maxErr := func(div int) float64 {
+		w, worst := run(h/float64(div)), 0.0
+		for i := range w {
+			if j := i * fine / div; i*fine%div == 0 {
+				worst = math.Max(worst, math.Abs(w[i]-ref[j]))
+			}
+		}
+		return worst
+	}
+	coarse, halved := maxErr(1), maxErr(2)
+	t.Logf("max |Δv(g)|: %.3g V at h, %.3g V at h/2 (ratio %.2f)", coarse, halved, coarse/halved)
+	if coarse < 3*halved {
+		t.Fatalf("error fell %.2f× when the step halved (%.3g → %.3g V), want ≥ 3×", coarse/halved, coarse, halved)
 	}
 }

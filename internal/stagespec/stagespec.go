@@ -53,17 +53,33 @@ func (a *ADCSpec) FillDefaults() {
 	}
 }
 
-// Validate rejects inconsistent converter-level specs.
+// MaxSampleRate is the highest converter rate Validate admits: 1 GS/s,
+// 25 times the paper's 40 MS/s and far past what the 0.25 µm amplifiers
+// can settle.
+const MaxSampleRate = 1e9
+
+// Validate rejects inconsistent converter-level specs: a resolution
+// outside 4..16 bits, a sample rate outside (0, MaxSampleRate], a
+// reference outside (0, VDD], a non-positive or non-finite budget
+// fraction, or an invalid process. Call it after FillDefaults.
 func (a *ADCSpec) Validate() error {
+	if err := a.Process.Validate(); err != nil {
+		return err
+	}
 	switch {
 	case a.Bits < 4 || a.Bits > 16:
 		return fmt.Errorf("stagespec: resolution %d outside supported 4..16 bits", a.Bits)
-	case a.SampleRate <= 0:
-		return fmt.Errorf("stagespec: non-positive sample rate")
-	case a.VRef <= 0:
-		return fmt.Errorf("stagespec: non-positive reference")
+	case !(a.SampleRate > 0 && a.SampleRate <= MaxSampleRate):
+		return fmt.Errorf("stagespec: sample rate %g Hz outside (0, %g]", a.SampleRate, MaxSampleRate)
+	case !(a.VRef > 0 && a.VRef <= a.Process.VDD):
+		return fmt.Errorf("stagespec: reference %g V outside (0, %g] (the process supply)", a.VRef, a.Process.VDD)
 	}
-	return a.Process.Validate()
+	for _, f := range []float64{a.NoiseFraction, a.SettleFraction, a.SlewFraction} {
+		if !(f > 0) || math.IsInf(f, 0) {
+			return fmt.Errorf("stagespec: budget fraction %g is not positive and finite", f)
+		}
+	}
+	return nil
 }
 
 // MDACSpec is the block-level requirement set for one pipeline stage,

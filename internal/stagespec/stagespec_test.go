@@ -119,6 +119,27 @@ func TestTranslateErrors(t *testing.T) {
 	if _, err := Translate(a, enum.Config{4, 4}); err == nil {
 		t.Fatal("expected over-resolution error")
 	}
+	for name, mut := range map[string]func(*ADCSpec){
+		"17 bits":        func(a *ADCSpec) { a.Bits = 17 },
+		"fs 1e300":       func(a *ADCSpec) { a.SampleRate = 1e300 },
+		"fs NaN":         func(a *ADCSpec) { a.SampleRate = math.NaN() },
+		"fs above 1 GHz": func(a *ADCSpec) { a.SampleRate = 1.01e9 },
+		"vref 1e300":     func(a *ADCSpec) { a.VRef = 1e300 },
+		"vref +Inf":      func(a *ADCSpec) { a.VRef = math.Inf(1) },
+		"vref above VDD": func(a *ADCSpec) { a.VRef = 3.4 },
+		"slew NaN":       func(a *ADCSpec) { a.SlewFraction = math.NaN() },
+	} {
+		a := adc13()
+		mut(&a)
+		if _, err := Translate(a, enum.Config{4, 3, 2}); err == nil {
+			t.Errorf("%s: expected a validation error", name)
+		}
+	}
+	a = adc13()
+	a.SampleRate, a.VRef = MaxSampleRate, 3.3
+	if _, err := Translate(a, enum.Config{4, 3, 2}); err != nil {
+		t.Errorf("fs and vref at their ceilings: %v", err)
+	}
 }
 
 // Property: for any valid enumerated candidate, the translation yields

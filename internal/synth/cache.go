@@ -57,7 +57,11 @@ func (o Options) Canonical() Options {
 // factorization-reuse Newton is the simulator's only policy. Version 3:
 // the settling transient starts each trapezoidal step from a predicted
 // state, runs on window/300 steps, and interpolates the band crossing.
-const KeyVersion = 3
+// Version 4: MOS Meyer caps are integrated trapezoidally, the settling
+// transient runs on window/200 steps from 0.25 ns before the residue
+// step, a failed transient step halves without a full-Newton rerun, and
+// the loop crossover is root-found inside the coarse sweep's bracket.
+const KeyVersion = 4
 
 // CacheKey computes the content address of a synthesis request: a
 // SHA-256 over KeyVersion, the block spec, the process name, and the

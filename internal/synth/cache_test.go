@@ -73,7 +73,7 @@ func TestCacheKeyStability(t *testing.T) {
 func TestCacheKeyGolden(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	opts := Options{Seed: 7, MaxEvals: 16, PatternIter: 8, Mode: hybrid.Hybrid}
-	const want = "106a20d2386874ddec43f682c2140bd9091555ab646bed965134d799d6651c6b"
+	const want = "4305ce56076b9d9945d4638f1df8f93c125804cdf803e0cd42c882f2ecca77a4"
 	if got := CacheKey(spec, proc, opts); got != want {
 		t.Fatalf("CacheKey drifted: got %s, want %s (key version %d)", got, want, KeyVersion)
 	}
