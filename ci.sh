@@ -55,8 +55,10 @@ lane_race() {
     # bit-identity tests at the synthesis, study, and service levels under
     # the race detector — rung promotion is a cross-worker reduction, so
     # the determinism contract and the data-race check are the same test.
-    "$GO" test -race ./internal/race
-    "$GO" test -race -run 'Race|Surrogate' ./internal/synth ./internal/core ./internal/service
+    # Every study flow runs the same rung loop (the uniform and retarget
+    # flows are its one-rung plan), so all of internal/core runs here.
+    "$GO" test -race ./internal/race ./internal/core
+    "$GO" test -race -run 'Race|Surrogate' ./internal/synth ./internal/service
     # Sparse-solver lane: the sparse/dense bit-exactness, symbolic-coverage,
     # reuse-vs-full-Newton tolerance, ordered-pivot equivalence,
     # warm-kernel isolation (rebound kernel and evaluator bitwise equal to

@@ -63,9 +63,11 @@ type Options struct {
 	// warm-started from their own low-fidelity best sizing, which also
 	// triggers the retargeting budget shrink. The mechanized analogue of
 	// the paper's designer discarding clearly losing stage-resolution
-	// configurations before spending simulation time on them. Supersedes
-	// Retarget's cross-point warm chaining when both are set. Joins the
-	// study key (with RaceRungs/RaceEta) only when on.
+	// configurations before spending simulation time on them. The flow
+	// without Race is the same rung loop on a one-rung, full-budget plan.
+	// Supersedes Retarget's cross-point warm chaining when both are set,
+	// so Retarget leaves the study key under Race. Joins the study key
+	// (with RaceRungs/RaceEta) only when on.
 	Race bool
 	// RaceRungs and RaceEta shape the racing plan: the number of fidelity
 	// rungs (default 2) and the budget ratio between adjacent rungs
@@ -282,13 +284,14 @@ func StudyKey(opts Options) string {
 		InitTemp, CoolRate, PenaltyW float64
 		Topology                     int
 		Surrogate                    bool
-		// The racing shape keys only under Race, so a dormant
-		// RaceRungs/RaceEta never splits two identical studies.
+		// The racing shape keys only under Race, and Retarget only
+		// without it (racing ignores it), so a dormant knob never splits
+		// two identical studies.
 		Race               bool
 		RaceRungs, RaceEta int
 	}
 	kf := keyFields{synth.KeyVersion, opts.Bits, opts.SampleRate, opts.VRef, opts.Process.Name, int(opts.Mode),
-		opts.Constraints, opts.Retarget, opts.IncludeSHA,
+		opts.Constraints, opts.Retarget && !opts.Race, opts.IncludeSHA,
 		s.Seed, s.MaxEvals, s.PatternIter, s.Restarts,
 		synth.InitTemp, synth.CoolRate, synth.PenaltyW, int(s.Topology),
 		s.Surrogate, false, 0, 0}
@@ -307,6 +310,19 @@ func StudyKey(opts Options) string {
 }
 
 // Optimize runs the full designer-driven flow for one target resolution.
+//
+// The flow is one loop over a fidelity plan. Without Race the plan is a
+// single full-budget rung: every design point is synthesized once, and
+// under Retarget its warm-start sources run first as DAG dependencies.
+// With Race it is race.Plan's successive-halving schedule. Each rung
+// runs the design points its active candidates need on sched.Run; one
+// costing function ranks the candidates for promotion and builds the
+// final report.
+//
+// Determinism holds for any worker count: a design point's seed is
+// fixed by its sorted-key index (identical across rungs, so a rung is a
+// budget change, not a reseed), and every reduction and promotion
+// happens in index order on the calling goroutine.
 //
 // Cancelling ctx aborts the study within one evaluation granule and
 // returns ctx.Err(); a panic inside a synthesis worker surfaces as a
@@ -339,13 +355,10 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 		}
 		specsByCand[i] = specs
 		for _, sp := range specs {
-			specOf[DesignPoint{Stage: sp.Stage, Bits: sp.Bits, PriorBits: sp.PriorBits}] = sp
+			specOf[pointOf(sp)] = sp
 		}
 	}
 
-	// Synthesize each design point once, optionally chaining warm starts:
-	// first the same resolution one stage earlier, then the previous
-	// resolution at the same stage.
 	keys := make([]DesignPoint, 0, len(specOf))
 	for k := range specOf {
 		keys = append(keys, k)
@@ -360,6 +373,10 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 		}
 		return a.PriorBits < b.PriorBits
 	})
+	keyIdx := make(map[DesignPoint]int, len(keys))
+	for i, k := range keys {
+		keyIdx[k] = i
+	}
 	study := &Study{
 		Bits: opts.Bits, SampleRate: opts.SampleRate,
 		PaperMDACClasses: len(enum.DistinctMDACs(cands)),
@@ -392,84 +409,35 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 		}
 	}
 
-	opts.emit(ProgressEvent{Kind: "plan", Points: len(keys), Candidates: len(cands)})
-	var results map[DesignPoint]*synth.Result
-	var prunedCand map[int]bool
+	plan := []race.Rung{{Divisor: 1}}
 	if opts.Race {
-		var err error
-		results, prunedCand, err = runRace(ctx, &opts, study, keys, specOf, specsByCand, cands, pool)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		resArr := make([]*synth.Result, len(keys))
-		warmFrom := make([]*DesignPoint, len(keys))
-		nodes := make([]sched.Node, len(keys))
-		for i := range keys {
-			i := i
-			key := keys[i]
-			deps := warmIdx[i]
-			nodes[i] = sched.Node{
-				Deps:  deps,
-				Label: fmt.Sprintf("design point stage %d (%d-bit)", key.Stage, key.Bits),
-				Run: func(ctx context.Context) error {
-					sOpts := opts.Synth
-					sOpts.Mode = opts.Mode
-					sOpts.Seed = opts.Synth.Seed + int64(i+1)
-					sOpts.Pool = pool
-					if opts.Retarget {
-						for _, j := range deps {
-							if prev := resArr[j]; prev != nil && prev.Feasible {
-								sOpts.WarmStart = prev.Sizing
-								k := keys[j]
-								warmFrom[i] = &k
-								break
-							}
-						}
-					}
-					opts.emit(ProgressEvent{Kind: "point_start", Point: i, Points: len(keys),
-						Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits})
-					res, err := synth.Synthesize(ctx, specOf[key], opts.Process, sOpts)
-					if err != nil {
-						return fmt.Errorf("core: synthesis of stage %d (%d-bit): %w", key.Stage, key.Bits, err)
-					}
-					resArr[i] = res
-					opts.emit(ProgressEvent{Kind: "point_done", Point: i, Points: len(keys),
-						Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits,
-						CacheHit: res.CacheHit, Feasible: res.Feasible,
-						Power: res.Metrics.Power, Evals: res.Evals})
-					return nil
-				}}
-		}
-		if err := sched.Run(ctx, pool, nodes); err != nil {
-			return nil, err
-		}
-		results = map[DesignPoint]*synth.Result{}
-		for i, key := range keys {
-			res := resArr[i]
-			results[key] = res
-			accountResult(study, res, opts.Synth.Cache != nil)
-			study.MDACs = append(study.MDACs, MDACRecord{Key: key, Result: res, WarmFrom: warmFrom[i]})
-		}
+		plan = race.Plan(len(cands), opts.RaceRungs, opts.RaceEta)
+		study.Race = &RaceStats{Rungs: len(plan)}
 	}
+	// Canonical() applies the synthesis defaults without the warm-start
+	// shrink, giving the full-fidelity budget the rung divisors scale.
+	canon := opts.Synth.Canonical()
+	results := make([]*synth.Result, len(keys)) // latest result per key
+	warmFrom := make([]*DesignPoint, len(keys))
+	banks := make(map[int]subadc.Bank, len(keys))
+	pruned := make([]bool, len(cands))
 
-	// Cost every candidate from the shared design-point results. The
+	// cost prices candidate ci from the latest design-point results. The
 	// comparator bank depends only on the design point, so it is designed
-	// once per key and shared across the candidates that contain it.
-	banks := make(map[DesignPoint]subadc.Bank, len(keys))
-	for i, cfg := range cands {
-		cr := CandidateResult{Config: cfg, AllFeasible: true, Pruned: prunedCand[i]}
-		for _, sp := range specsByCand[i] {
-			key := DesignPoint{Stage: sp.Stage, Bits: sp.Bits, PriorBits: sp.PriorBits}
-			res := results[key]
-			bank, ok := banks[key]
+	// once per key and shared across the candidates and rungs that use it.
+	cost := func(ci int) (CandidateResult, error) {
+		cr := CandidateResult{Config: cands[ci], AllFeasible: true, Pruned: pruned[ci]}
+		for _, sp := range specsByCand[ci] {
+			i := keyIdx[pointOf(sp)]
+			res := results[i]
+			bank, ok := banks[i]
 			if !ok {
 				var err error
 				bank, err = subadc.Design(sp, opts.Process, opts.SampleRate)
 				if err != nil {
-					return nil, fmt.Errorf("core: %s stage %d sub-ADC: %w", cfg, sp.Stage, err)
+					return cr, fmt.Errorf("core: %s stage %d sub-ADC: %w", cands[ci], sp.Stage, err)
 				}
-				banks[key] = bank
+				banks[i] = bank
 			}
 			sr := StageResult{
 				Stage: sp.Stage, Bits: sp.Bits,
@@ -483,6 +451,122 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 			cr.Stages = append(cr.Stages, sr)
 			cr.TotalPower += sr.Total
 			cr.AllFeasible = cr.AllFeasible && sr.Feasible
+		}
+		return cr, nil
+	}
+
+	opts.emit(ProgressEvent{Kind: "plan", Points: len(keys), Candidates: len(cands)})
+	active := make([]int, len(cands))
+	for i := range active {
+		active[i] = i
+	}
+	for r, rung := range plan {
+		// Only racing numbers its rungs, in events and error messages.
+		rungNo, where := 0, "core: "
+		if opts.Race {
+			rungNo, where = r+1, fmt.Sprintf("core: rung %d ", r+1)
+		}
+		// The design points the active candidates need, in sorted-key
+		// order. Every candidate is active on the first rung, so there a
+		// node's index is its key index, which warmIdx's edges name.
+		need := make([]bool, len(keys))
+		for _, ci := range active {
+			for _, sp := range specsByCand[ci] {
+				need[keyIdx[pointOf(sp)]] = true
+			}
+		}
+		var nodes []sched.Node
+		for i, key := range keys {
+			if !need[i] {
+				continue
+			}
+			nodes = append(nodes, sched.Node{
+				Deps:  warmIdx[i],
+				Label: fmt.Sprintf("design point stage %d (%d-bit)", key.Stage, key.Bits),
+				Run: func(ctx context.Context) error {
+					sOpts := opts.Synth
+					sOpts.Mode = opts.Mode
+					sOpts.Seed = opts.Synth.Seed + int64(i+1)
+					sOpts.Pool = pool
+					if rung.Divisor > 1 {
+						sOpts.MaxEvals = max(canon.MaxEvals/rung.Divisor, 1)
+						sOpts.PatternIter = max(canon.PatternIter/rung.Divisor, 1)
+					}
+					if r > 0 {
+						// A promoted point continues from its own best
+						// sizing one rung down; its WarmFrom stays nil.
+						if prev := results[i]; prev.Feasible {
+							sOpts.WarmStart = prev.Sizing
+						}
+					}
+					for _, j := range warmIdx[i] {
+						if prev := results[j]; prev.Feasible {
+							sOpts.WarmStart = prev.Sizing
+							k := keys[j]
+							warmFrom[i] = &k
+							break
+						}
+					}
+					opts.emit(ProgressEvent{Kind: "point_start", Point: i, Points: len(keys),
+						Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: rungNo})
+					res, err := synth.Synthesize(ctx, specOf[key], opts.Process, sOpts)
+					if err != nil {
+						return fmt.Errorf("%ssynthesis of stage %d (%d-bit): %w", where, key.Stage, key.Bits, err)
+					}
+					results[i] = res
+					opts.emit(ProgressEvent{Kind: "point_done", Point: i, Points: len(keys),
+						Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: rungNo,
+						CacheHit: res.CacheHit, Feasible: res.Feasible,
+						Power: res.Metrics.Power, Evals: res.Evals})
+					return nil
+				}})
+		}
+		if err := sched.Run(ctx, pool, nodes); err != nil {
+			return nil, err
+		}
+		for i := range keys {
+			if need[i] {
+				accountResult(study, results[i], opts.Synth.Cache != nil)
+			}
+		}
+
+		entrants, promoted := len(active), 0
+		if rung.Keep > 0 {
+			standings := make([]race.Standing, len(active))
+			for si, ci := range active {
+				cr, err := cost(ci)
+				if err != nil {
+					return nil, err
+				}
+				standings[si] = race.Standing{Index: ci, Feasible: cr.AllFeasible, Cost: cr.TotalPower}
+			}
+			next := race.Promote(standings, rung.Keep)
+			for _, ci := range active {
+				pruned[ci] = true
+			}
+			for _, ci := range next {
+				pruned[ci] = false
+			}
+			promoted = len(next)
+			study.Race.Promotions += promoted
+			study.Race.Pruned += entrants - promoted
+			active = next
+		}
+		if opts.Race {
+			opts.emit(ProgressEvent{Kind: "race_rung", Rung: rungNo,
+				Candidates: entrants, Promoted: promoted, Pruned: study.Race.Pruned})
+		}
+	}
+
+	// Every key ran on the first rung, so the record set is complete; a
+	// pruned candidate's points stay at the last fidelity they ran at.
+	for i, key := range keys {
+		study.MDACs = append(study.MDACs, MDACRecord{Key: key, Result: results[i], WarmFrom: warmFrom[i]})
+	}
+	for ci := range cands {
+		cr, err := cost(ci)
+		if err != nil {
+			return nil, err
 		}
 		study.Candidates = append(study.Candidates, cr)
 	}
@@ -523,6 +607,11 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 	return study, nil
 }
 
+// pointOf names the design point a stage spec belongs to.
+func pointOf(sp stagespec.MDACSpec) DesignPoint {
+	return DesignPoint{Stage: sp.Stage, Bits: sp.Bits, PriorBits: sp.PriorBits}
+}
+
 // accountResult folds one completed synthesis into the study-level
 // accounting: evaluator spend, cache traffic, surrogate counters.
 func accountResult(st *Study, res *synth.Result, cacheOn bool) {
@@ -536,161 +625,6 @@ func accountResult(st *Study, res *synth.Result, cacheOn bool) {
 			st.CacheMisses++
 		}
 	}
-}
-
-// runRace executes the successive-halving schedule: every rung
-// synthesizes the design points the still-active candidates need at
-// that rung's reduced budget, ranks the candidates by
-// feasibility-then-cost, and promotes the top half into the next rung;
-// the final rung runs at full fidelity, each survivor's points
-// warm-started from their own lower-fidelity best sizing (racing's
-// WarmFrom is the point itself, so MDAC records carry nil).
-//
-// Determinism matches the uniform path's contract: per-point seeds are
-// fixed by the global sorted-key index (identical across rungs, so a
-// rung is a budget change, not a reseed), every reduction and promotion
-// happens in index order, and the returned maps are bit-identical for
-// any worker count. It returns the latest result per design point and
-// the set of candidate indices that were pruned before full fidelity.
-func runRace(ctx context.Context, opts *Options, study *Study, keys []DesignPoint,
-	specOf map[DesignPoint]stagespec.MDACSpec, specsByCand [][]stagespec.MDACSpec,
-	cands []enum.Config, pool *sched.Pool) (map[DesignPoint]*synth.Result, map[int]bool, error) {
-
-	// Canonical() applies the synthesis defaults without the warm-start
-	// shrink, giving the full-fidelity budget the rung divisors scale.
-	canon := opts.Synth.Canonical()
-	plan := race.Plan(len(cands), opts.RaceRungs, opts.RaceEta)
-	study.Race = &RaceStats{Rungs: len(plan)}
-	pointOf := func(sp stagespec.MDACSpec) DesignPoint {
-		return DesignPoint{Stage: sp.Stage, Bits: sp.Bits, PriorBits: sp.PriorBits}
-	}
-
-	active := make([]int, len(cands))
-	for i := range active {
-		active[i] = i
-	}
-	results := make(map[DesignPoint]*synth.Result, len(keys))
-	banks := make(map[DesignPoint]subadc.Bank, len(keys))
-	pruned := make(map[int]bool)
-	cacheOn := opts.Synth.Cache != nil
-
-	for r, rung := range plan {
-		entrants := len(active)
-		// The design points the surviving candidates still need, in the
-		// global sorted-key order every worker count walks identically.
-		needSet := make(map[DesignPoint]bool)
-		for _, ci := range active {
-			for _, sp := range specsByCand[ci] {
-				needSet[pointOf(sp)] = true
-			}
-		}
-		needed := make([]int, 0, len(needSet))
-		for i, key := range keys {
-			if needSet[key] {
-				needed = append(needed, i)
-			}
-		}
-
-		resArr := make([]*synth.Result, len(needed))
-		errArr := make([]error, len(needed))
-		if err := pool.ForEach(ctx, len(needed), func(j int) {
-			i := needed[j]
-			key := keys[i]
-			sOpts := opts.Synth
-			sOpts.Mode = opts.Mode
-			sOpts.Seed = opts.Synth.Seed + int64(i+1)
-			sOpts.Pool = pool
-			sOpts.MaxEvals = canon.MaxEvals / rung.Divisor
-			if sOpts.MaxEvals < 1 {
-				sOpts.MaxEvals = 1
-			}
-			sOpts.PatternIter = canon.PatternIter / rung.Divisor
-			if sOpts.PatternIter < 1 {
-				sOpts.PatternIter = 1
-			}
-			if r > 0 {
-				// Promotion fidelity: continue from this point's own best
-				// sizing one rung down. Every needed key ran in the prior
-				// rung (the active set only shrinks), so the lookup is a
-				// completed result, never a data race.
-				if prev := results[key]; prev != nil && prev.Feasible {
-					sOpts.WarmStart = prev.Sizing
-				}
-			}
-			opts.emit(ProgressEvent{Kind: "point_start", Point: i, Points: len(keys),
-				Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: r + 1})
-			res, err := synth.Synthesize(ctx, specOf[key], opts.Process, sOpts)
-			if err != nil {
-				errArr[j] = fmt.Errorf("core: rung %d synthesis of stage %d (%d-bit): %w",
-					r+1, key.Stage, key.Bits, err)
-				return
-			}
-			resArr[j] = res
-			opts.emit(ProgressEvent{Kind: "point_done", Point: i, Points: len(keys),
-				Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: r + 1,
-				CacheHit: res.CacheHit, Feasible: res.Feasible,
-				Power: res.Metrics.Power, Evals: res.Evals})
-		}); err != nil {
-			return nil, nil, err
-		}
-		for _, err := range errArr {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		for j, i := range needed {
-			results[keys[i]] = resArr[j]
-			accountResult(study, resArr[j], cacheOn)
-		}
-
-		promotedN := 0
-		if rung.Keep > 0 {
-			standings := make([]race.Standing, len(active))
-			for si, ci := range active {
-				st := race.Standing{Index: ci, Feasible: true}
-				for _, sp := range specsByCand[ci] {
-					key := pointOf(sp)
-					res := results[key]
-					bank, ok := banks[key]
-					if !ok {
-						var err error
-						bank, err = subadc.Design(sp, opts.Process, opts.SampleRate)
-						if err != nil {
-							return nil, nil, fmt.Errorf("core: %s stage %d sub-ADC: %w", cands[ci], sp.Stage, err)
-						}
-						banks[key] = bank
-					}
-					st.Cost += res.Metrics.Power + bank.TotalPower
-					st.Feasible = st.Feasible && res.Feasible
-				}
-				standings[si] = st
-			}
-			next := race.Promote(standings, rung.Keep)
-			nextSet := make(map[int]bool, len(next))
-			for _, ci := range next {
-				nextSet[ci] = true
-			}
-			for _, ci := range active {
-				if !nextSet[ci] {
-					pruned[ci] = true
-				}
-			}
-			promotedN = len(next)
-			study.Race.Promotions += len(next)
-			study.Race.Pruned += len(active) - len(next)
-			active = next
-		}
-		opts.emit(ProgressEvent{Kind: "race_rung", Rung: r + 1,
-			Candidates: entrants, Promoted: promotedN, Pruned: study.Race.Pruned})
-	}
-
-	// Every key was synthesized at rung 0 (all candidates start active),
-	// so the record set is complete; pruned candidates' points stay at
-	// the last fidelity they were costed at.
-	for _, key := range keys {
-		study.MDACs = append(study.MDACs, MDACRecord{Key: key, Result: results[key]})
-	}
-	return results, pruned, nil
 }
 
 // Sweep runs studies across target resolutions (the paper's 10–13 bit

@@ -71,12 +71,22 @@ func TestStudyKeyIgnoresExecutionKnobs(t *testing.T) {
 		t.Fatal("RaceRungs did not move the key under Race")
 	}
 
+	// Racing ignores Retarget, so under Race it is dormant too: a
+	// retarget flag must not split two identical racing studies. Without
+	// Race it shapes the study and moves the key.
+	racedRetarget := raced
+	racedRetarget.Retarget = true
+	if StudyKey(racedRetarget) != StudyKey(raced) {
+		t.Fatal("Retarget changed the key under Race, which ignores it")
+	}
+
 	for name, mut := range map[string]func(*Options){
 		"bits":      func(o *Options) { o.Bits = 13 },
 		"rate":      func(o *Options) { o.SampleRate = 80e6 },
 		"seed":      func(o *Options) { o.Synth.Seed = 8 },
 		"mode":      func(o *Options) { o.Mode = 2 },
 		"sha":       func(o *Options) { o.IncludeSHA = true },
+		"retarget":  func(o *Options) { o.Retarget = true },
 		"race":      func(o *Options) { o.Race = true },
 		"surrogate": func(o *Options) { o.Synth.Surrogate = true },
 	} {

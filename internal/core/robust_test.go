@@ -62,24 +62,27 @@ func TestOptimizeCancelPrompt(t *testing.T) {
 
 // TestOptimizePanicNamesDesignPoint: a worker panic during synthesis
 // must surface as a *sched.PanicError whose label identifies the design
-// point, not crash the study.
+// point, not crash the study — on a racing rung as on the uniform flow.
 func TestOptimizePanicNamesDesignPoint(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	opts := eqOpts(13)
-	opts.Workers = 2
-	opts.Synth.EvalHook = func(context.Context, int) error {
-		panic("injected study fault")
-	}
-	_, err := Optimize(context.Background(), opts)
-	var pe *sched.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *sched.PanicError", err)
-	}
-	if !strings.Contains(pe.Label, "design point stage") {
-		t.Fatalf("panic label %q does not name the design point", pe.Label)
-	}
-	if pe.Value != "injected study fault" {
-		t.Fatalf("panic value = %v", pe.Value)
+	for _, raced := range []bool{false, true} {
+		opts := eqOpts(13)
+		opts.Race = raced
+		opts.Workers = 2
+		opts.Synth.EvalHook = func(context.Context, int) error {
+			panic("injected study fault")
+		}
+		_, err := Optimize(context.Background(), opts)
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("race=%v: err = %v, want *sched.PanicError", raced, err)
+		}
+		if !strings.Contains(pe.Label, "design point stage") {
+			t.Fatalf("race=%v: panic label %q does not name the design point", raced, pe.Label)
+		}
+		if pe.Value != "injected study fault" {
+			t.Fatalf("race=%v: panic value = %v", raced, pe.Value)
+		}
 	}
 }
 

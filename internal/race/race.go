@@ -37,8 +37,9 @@ type Rung struct {
 // rung r of R runs at budget divisor eta^(R-1-r), so the final rung is
 // always full fidelity (divisor 1). Each rung promotes the top half of
 // its entrants (ceil/2, never fewer than one); the final rung keeps 0.
-// Out-of-range arguments are clamped (rungs ≥ 1, eta ≥ 2), and a
-// single-rung plan degenerates to the uniform-budget flow.
+// Out-of-range arguments are clamped (rungs ≥ 1, eta ≥ 2). A
+// single-rung plan, {Divisor: 1, Keep: 0}, is the uniform-budget flow:
+// the study engine runs exactly that plan when racing is off.
 func Plan(n, rungs, eta int) []Rung {
 	if rungs < 1 {
 		rungs = 1

@@ -159,8 +159,9 @@ func (j *Journal) recordsSinceCompact() int {
 }
 
 // replay reads every decodable record in file order. A torn or corrupt
-// line — the expected artifact of a crash mid-append — is skipped and
-// counted, never fatal: the WAL's job is to save what it can.
+// line of any length — a crash mid-append leaves one — is skipped and
+// counted, never fatal: the WAL's job is to save what it can. Only an
+// unreadable file is an error.
 func (j *Journal) replay() (recs []journalRecord, dropped int, err error) {
 	blob, err := os.ReadFile(j.path)
 	if os.IsNotExist(err) {
@@ -169,10 +170,7 @@ func (j *Journal) replay() (recs []journalRecord, dropped int, err error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("service: read journal: %w", err)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(blob))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
+	for _, line := range bytes.Split(blob, []byte{'\n'}) {
 		if len(line) == 0 {
 			continue
 		}
@@ -182,9 +180,6 @@ func (j *Journal) replay() (recs []journalRecord, dropped int, err error) {
 			continue
 		}
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return recs, dropped, fmt.Errorf("service: scan journal: %w", err)
 	}
 	return recs, dropped, nil
 }

@@ -4,6 +4,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -301,6 +302,51 @@ func TestRecoverRestoresTerminalJobsAndTornTail(t *testing.T) {
 	}
 	if _, ok := man.Get("s000002-bbbbbbbb"); ok {
 		t.Fatal("evicted job resurrected by replay")
+	}
+	man.Drain(0)
+}
+
+// TestRecoverSkipsOverlongLine: a corrupt line longer than any line
+// buffer (17 MiB here) between two valid submits is dropped and
+// counted like any other corrupt line. It must not abort the replay,
+// which would stop the daemon from starting.
+func TestRecoverSkipsOverlongLine(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"s000001-aaaaaaaa", "s000002-bbbbbbbb"}
+	for i, id := range ids {
+		req := tinyReq(10+i, 3)
+		jn.append(journalRecord{Op: "submit", ID: id, Time: time.Now(), Req: &req, Created: time.Now()})
+		if i == 0 {
+			garbage := append(bytes.Repeat([]byte{'x'}, 17<<20), '\n')
+			if _, err := jn.f.Write(garbage); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	jn.Close()
+
+	jn2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn2.Close()
+	man := NewManager(Config{Workers: 1, QueueCap: 2, Journal: jn2})
+	stats, err := man.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 2 || stats.Dropped != 1 || stats.Recovered != 2 || stats.Failed != 0 {
+		t.Fatalf("recovery stats %+v, want 2 records, 1 dropped, 2 recovered", stats)
+	}
+	for _, id := range ids {
+		j, ok := man.Get(id)
+		if !ok || j.State() != StateQueued {
+			t.Fatalf("job %s not re-enqueued (found %v)", id, ok)
+		}
 	}
 	man.Drain(0)
 }
