@@ -309,45 +309,3 @@ func BenchmarkSubADCPowerCurve(b *testing.B) {
 func subADCCurve(proc *pdk.Process) ([]float64, error) {
 	return subadc.PowerCurve(proc, 40e6, 1.0, 2, 5)
 }
-
-// BenchmarkTopologyAblation is the design-choice ablation DESIGN.md calls
-// out: for each stage of the 13-bit 4-3-2 pipeline, compare the designer-
-// equation power of the two-stage Miller OTA against the single-stage
-// telescopic cascode. The telescopic undercuts the Miller wherever its
-// limited gain suffices (later stages); the front stage needs the
-// two-stage amplifier — which is why the synthesis flow carries both.
-func BenchmarkTopologyAblation(b *testing.B) {
-	proc := pdk.TSMC025()
-	adc := stagespec.ADCSpec{Bits: 13, SampleRate: 40e6, VRef: 1}
-	specs, err := stagespec.Translate(adc, enum.Config{4, 3, 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, sp := range specs {
-			blk := opamp.BlockSpec{
-				GBW: sp.GBWMin, SR: sp.SRMin, CLoad: sp.CLoad,
-				CFeed: sp.CFeed, Gain: sp.GainMin, Swing: sp.SwingMin,
-			}
-			miller := opamp.Analyze(proc, opamp.InitialSizing(proc, blk), sp.CLoad+sp.CFeed)
-			tele := opamp.AnalyzeTelescopic(proc, opamp.InitialTelescopic(proc, blk), sp.CLoad+sp.CFeed)
-			b.ReportMetric(miller.Power*1e3, fmt.Sprintf("mW_miller_s%d", sp.Stage))
-			b.ReportMetric(tele.Power*1e3, fmt.Sprintf("mW_tele_s%d", sp.Stage))
-			// Telescopic feasibility marker: gain headroom vs requirement.
-			b.ReportMetric(tele.A0/sp.GainMin, fmt.Sprintf("teleGainMargin_s%d", sp.Stage))
-		}
-		// Full hybrid synthesis of the last listed stage with both cells:
-		// where the telescopic has gain headroom it should win on power.
-		last := specs[len(specs)-1]
-		for _, topo := range []opamp.Topology{opamp.Miller, opamp.Telescopic} {
-			res, err := synth.Synthesize(context.Background(), last, proc, synth.Options{
-				Seed: 31, MaxEvals: 80, PatternIter: 40,
-				Mode: hybrid.Hybrid, Topology: topo,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.Metrics.Power*1e3, fmt.Sprintf("mW_synth_%s", topo))
-		}
-	}
-}

@@ -16,7 +16,9 @@ lane_vet() {
 
 # Tier-1. `go test .` includes the reachability contract
 # (reach_test.go): it builds every command, example and pipebench, fails
-# on a non-test function none of them links, and runs every example.
+# on a non-test function none of them links, and runs every example. It
+# also runs the field contract (fieldreach_test.go), which fails on an
+# exported struct field under internal/ that no non-test code sets.
 lane_test() {
     "$GO" build ./...
     "$GO" test ./...
@@ -25,8 +27,8 @@ lane_test() {
 lane_race() {
     # Short mode keeps the seconds-long hybrid studies out, while the
     # scheduler, cache, and parallel-study tests all still run under the
-    # detector. It also skips the reachability contract, which races
-    # nothing and runs in the test lane.
+    # detector. It also skips both contracts (reachability and fields),
+    # which race nothing and run in the test lane.
     "$GO" test -race -short ./...
     # Robustness lane: the cancellation, fault-injection, and goroutine-leak
     # tests under the race detector (stalled evaluators, injected panics,
@@ -73,9 +75,10 @@ lane_race() {
 
 # Persistence lane: journal replay, crash recovery, the terminal-job
 # retention/leak regression (500-job soak), and the disk-cache durability
-# tests under the race detector.
+# and gob-decode tests (with FuzzDecodeResult's seeds) under the race
+# detector.
 lane_persist() {
-    "$GO" test -race -run 'Recover|Retention|Retain|Journal|RetryAfter|Leak|CacheDisk' ./internal/service ./internal/synth
+    "$GO" test -race -run 'Recover|Retention|Retain|Journal|RetryAfter|Leak|CacheDisk|DecodeResult' ./internal/service ./internal/synth
 }
 
 # End-to-end daemon smoke, all legs: boot → study over HTTP → cached

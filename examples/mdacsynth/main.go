@@ -10,7 +10,6 @@ import (
 
 	"pipesyn/internal/enum"
 	"pipesyn/internal/hybrid"
-	"pipesyn/internal/opamp"
 	"pipesyn/internal/pdk"
 	"pipesyn/internal/stagespec"
 	"pipesyn/internal/synth"
@@ -40,10 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, ok := res.Sizing.(opamp.MillerSizing)
-	if !ok {
-		log.Fatalf("unexpected topology %s", res.Sizing.Topology())
-	}
+	s := res.Sizing
 	fmt.Printf("\nsynthesized two-stage Miller OTA (%d evaluations, feasible: %v):\n", res.Evals, res.Feasible)
 	fmt.Printf("  input pair   W/L = %s / %s\n", units.Format(s.W1, "m"), units.Format(s.L1, "m"))
 	fmt.Printf("  mirror load  W/L = %s / %s\n", units.Format(s.W3, "m"), units.Format(s.L3, "m"))

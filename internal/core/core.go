@@ -282,7 +282,6 @@ func StudyKey(opts Options) string {
 		MaxEvals, PatternIter        int
 		Restarts                     int
 		InitTemp, CoolRate, PenaltyW float64
-		Topology                     int
 		Surrogate                    bool
 		// The racing shape keys only under Race, and Retarget only
 		// without it (racing ignores it), so a dormant knob never splits
@@ -293,8 +292,7 @@ func StudyKey(opts Options) string {
 	kf := keyFields{synth.KeyVersion, opts.Bits, opts.SampleRate, opts.VRef, opts.Process.Name, int(opts.Mode),
 		opts.Constraints, opts.Retarget && !opts.Race, opts.IncludeSHA,
 		s.Seed, s.MaxEvals, s.PatternIter, s.Restarts,
-		synth.InitTemp, synth.CoolRate, synth.PenaltyW, int(s.Topology),
-		s.Surrogate, false, 0, 0}
+		synth.InitTemp, synth.CoolRate, synth.PenaltyW, s.Surrogate, false, 0, 0}
 	if opts.Race {
 		kf.Race = true
 		kf.RaceRungs = opts.RaceRungs
@@ -496,12 +494,12 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 						// A promoted point continues from its own best
 						// sizing one rung down; its WarmFrom stays nil.
 						if prev := results[i]; prev.Feasible {
-							sOpts.WarmStart = prev.Sizing
+							sOpts.WarmStart = &prev.Sizing
 						}
 					}
 					for _, j := range warmIdx[i] {
 						if prev := results[j]; prev.Feasible {
-							sOpts.WarmStart = prev.Sizing
+							sOpts.WarmStart = &prev.Sizing
 							k := keys[j]
 							warmFrom[i] = &k
 							break

@@ -107,7 +107,7 @@ func TestStudyKeyGolden(t *testing.T) {
 		Bits: 10, SampleRate: 40e6, Mode: hybrid.Hybrid,
 		Synth: synth.Options{Seed: 7, MaxEvals: 16, PatternIter: 8},
 	}
-	const want = "2f49bd55df6622b6fa4bcce61583a4475f704a6dfc30fd352ea204bc16a0fedc"
+	const want = "f26f0a8f0bee7827cc3b87773f27e8d097741bb8dbf54b590f26b61888d27740"
 	if got := StudyKey(opts); got != want {
 		t.Fatalf("StudyKey drifted: got %s, want %s (key version %d)", got, want, synth.KeyVersion)
 	}

@@ -57,7 +57,7 @@ func Retarget(ctx context.Context, budget synth.Options) (cold, warm *synth.Resu
 	spec.SRMin *= 1.2
 	warm, err = synth.Synthesize(ctx, spec, proc, synth.Options{
 		Seed: 22, MaxEvals: budget.MaxEvals, PatternIter: budget.PatternIter,
-		Mode: hybrid.Hybrid, WarmStart: cold.Sizing,
+		Mode: hybrid.Hybrid, WarmStart: &cold.Sizing,
 	})
 	return cold, warm, err
 }

@@ -73,11 +73,11 @@ func TestSettleAccuracyAgainstFineGrid(t *testing.T) {
 			for j := range v {
 				v[j] *= math.Exp(0.4 * rng.NormFloat64())
 			}
-			sz, err := base.WithVector(v)
+			sz, err := opamp.FromVector(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := mdac.Stage{Spec: sp, Sizing: sz.Bound(proc), Process: proc}
+			st := mdac.Stage{Spec: sp, Sizing: sz.Clamp(proc), Process: proc}
 			m, err := se.Evaluate(context.Background(), st.Sizing)
 			refT, refSettled, refErr := fineSettle(st)
 			if (err != nil) != (refErr != nil) {

@@ -20,11 +20,11 @@ func benchSizings(tb testing.TB, n int) []opamp.Amp {
 		for j := range v {
 			v[j] *= 1 + 0.04*float64(i)*float64(j%3)
 		}
-		sz, err := st.Sizing.WithVector(v)
+		sz, err := opamp.FromVector(v)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out[i] = sz.Bound(st.Process)
+		out[i] = sz.Clamp(st.Process)
 	}
 	return out
 }

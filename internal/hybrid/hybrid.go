@@ -86,10 +86,10 @@ type Metrics struct {
 // synthesis run: the kernel is compiled once and rebound to each
 // candidate's values (see sim.Kernel for why a rebound result is
 // bit-identical to a cold compile). The compiled symbolic loop transfer
-// function is built once per topology for the whole process and shared
-// by every evaluator (see loopTF): the expensive DPI/SFG + Mason step
-// happens once, and each candidate only writes its extracted
-// small-signal values into the program's slots.
+// function is built once for the whole process and shared by every
+// evaluator (see loopTF): the expensive DPI/SFG + Mason step happens
+// once, and each candidate only writes its extracted small-signal values
+// into the program's slots.
 //
 // A StageEvaluator is not safe for concurrent use: its warm kernel and
 // scratch buffers belong to one goroutine. Use one per synthesis
@@ -99,7 +99,7 @@ type StageEvaluator struct {
 	Process *pdk.Process
 	Mode    Mode
 
-	tf   *loopTF      // the topology's shared loop transfer function
+	tf   *loopTF      // the shared loop transfer function
 	slot []complex128 // tf's variable values for the current candidate
 	buf  expr.EvalBuf
 	kern *sim.Kernel // warm hold-circuit kernel, compiled on first use
@@ -112,8 +112,7 @@ func NewStageEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode Mode) *S
 
 // Evaluate scores one sizing candidate. The result does not depend on
 // which candidates the evaluator scored before: the warm kernel is
-// rebound per candidate, and a candidate of another amplifier topology
-// recompiles the kernel and binds that topology's transfer function.
+// rebound per candidate.
 //
 // One evaluation is the engine's cancellation granule: ctx is checked on
 // entry and between the DC, transfer-function, and transient legs, so a
@@ -132,10 +131,11 @@ func (se *StageEvaluator) Evaluate(ctx context.Context, sizing opamp.Amp) (Metri
 	return Metrics{}, fmt.Errorf("hybrid: unknown mode %d", se.Mode)
 }
 
-// loopTF is one amplifier topology's compiled loop transfer function,
-// immutable and shared by every evaluator in the process. Each variable
-// but s is resolved once to its source: a field of a hold-circuit element
-// (an element value, or a MOSFET's operating point), or cin.
+// loopTF is the compiled loop transfer function of one loop-netlist
+// structure, immutable and shared by every evaluator in the process.
+// Each variable but s is resolved once to its source: a field of a
+// hold-circuit element (an element value, or a MOSFET's operating
+// point), or cin.
 type loopTF struct {
 	prog *expr.Program
 	sIdx int
@@ -156,7 +156,7 @@ var loopTFs = struct {
 	m map[string]*loopTF
 }{m: map[string]*loopTF{}}
 
-// loopTFFor returns the shared transfer function of st's topology,
+// loopTFFor returns the shared transfer function of st's loop structure,
 // compiling it on the process's first request. mdac builds the loop and
 // hold netlists around the same amplifier, so the loop structure fixes
 // the hold elements the sources point at. The cin placeholder only makes
@@ -412,20 +412,16 @@ func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (M
 var outProbe = []string{mdac.NodeOut}
 
 // bindHold points the warm kernel at hold: compiled on the first
-// evaluation, rebound after that. A hold circuit that no longer matches
-// the compiled structure (a topology change) gets a fresh compile, and
-// the loop transfer function bound for the old topology is dropped with
-// the old kernel.
+// evaluation, rebound after that. A sizing whose values the kernel
+// rejects fails the rebind as it would fail a fresh compile, and the
+// kernel keeps its binding.
 func (se *StageEvaluator) bindHold(hold *netlist.Circuit) error {
-	if se.kern != nil && se.kern.Bind(hold) == nil {
-		return nil
+	if se.kern != nil {
+		return se.kern.Bind(hold)
 	}
 	k, err := sim.NewKernel(hold)
 	if err != nil {
 		return err
-	}
-	if se.kern != nil {
-		se.tf = nil
 	}
 	se.kern = k
 	return nil

@@ -15,35 +15,32 @@ import (
 	"pipesyn/internal/sim"
 )
 
-// perturbedSizings returns n sizings of topology topo for the relaxed
-// stage: log-normal (σ = 0.2) perturbations of the designer-equation
-// sizing whose hold circuit has a DC operating point.
-func perturbedSizings(tb testing.TB, topo opamp.Topology, n int) []opamp.Amp {
+// perturbedSizings returns n sizings for the relaxed stage: log-normal
+// (σ = 0.2) perturbations of the designer-equation sizing whose hold
+// circuit has a DC operating point.
+func perturbedSizings(tb testing.TB, n int) []opamp.Amp {
 	tb.Helper()
 	st := relaxedStage(tb)
 	sp := st.Spec
-	base, err := opamp.Initial(topo, st.Process, opamp.BlockSpec{
+	base := opamp.InitialSizing(st.Process, opamp.BlockSpec{
 		GBW: sp.GBWMin, SR: sp.SRMin, CLoad: sp.CLoad, CFeed: sp.CFeed,
 		Gain: sp.GainMin, Swing: sp.SwingMin,
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(int64(19 + topo)))
+	rng := rand.New(rand.NewSource(19))
 	var out []opamp.Amp
 	for tries := 0; len(out) < n; tries++ {
 		if tries == 4*n {
-			tb.Fatalf("%v: only %d of %d perturbed sizings have an operating point", topo, len(out), n)
+			tb.Fatalf("only %d of %d perturbed sizings have an operating point", len(out), n)
 		}
 		v := base.Vector()
 		for j := range v {
 			v[j] *= math.Exp(0.2 * rng.NormFloat64())
 		}
-		sz, err := base.WithVector(v)
+		sz, err := opamp.FromVector(v)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		st.Sizing = sz.Bound(st.Process)
+		st.Sizing = sz.Clamp(st.Process)
 		if _, _, _, err := holdOP(st); err == nil {
 			out = append(out, st.Sizing)
 		}
@@ -67,53 +64,50 @@ func holdOP(st mdac.Stage) (*netlist.Circuit, *sim.DCResult, float64, error) {
 
 // TestSlotFillMatchesEnv: the shared program's slot vector, filled from
 // the hold circuit and its operating point, equals the parent route —
-// dpi.Env over a freshly built loop netlist — bit for bit, for both
-// amplifier topologies; and a cin ≤ 0 fails as that netlist (which then
-// lacks its cin element) does.
+// dpi.Env over a freshly built loop netlist — bit for bit; and a
+// cin ≤ 0 fails as that netlist (which then lacks its cin element) does.
 func TestSlotFillMatchesEnv(t *testing.T) {
 	st := relaxedStage(t)
-	for _, topo := range []opamp.Topology{opamp.Miller, opamp.Telescopic} {
-		for k, sz := range perturbedSizings(t, topo, 20) {
-			st.Sizing = sz
-			hold, op, cin, err := holdOP(st)
-			if err != nil {
-				t.Fatal(err)
+	for k, sz := range perturbedSizings(t, 20) {
+		st.Sizing = sz
+		hold, op, cin, err := holdOP(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf, err := loopTFFor(st, hold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := make([]complex128, len(tf.srcs)+1)
+		if err := tf.fill(slot, hold, op, cin); err != nil {
+			t.Fatal(err)
+		}
+		loop, err := st.LoopCircuit(cin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := dpi.Env(loop, op, dpi.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 0
+		for name, want := range env {
+			i := tf.prog.VarIndex(name)
+			if i < 0 || i == tf.sIdx {
+				continue
 			}
-			tf, err := loopTFFor(st, hold)
-			if err != nil {
-				t.Fatal(err)
+			bound++
+			if got := slot[i]; math.Float64bits(real(got)) != math.Float64bits(want) || imag(got) != 0 {
+				t.Fatalf("#%d: slot %d (%s) = %v, dpi.Env has %v", k, i, name, got, want)
 			}
-			slot := make([]complex128, len(tf.srcs)+1)
-			if err := tf.fill(slot, hold, op, cin); err != nil {
-				t.Fatal(err)
-			}
-			loop, err := st.LoopCircuit(cin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env, err := dpi.Env(loop, op, dpi.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound := 0
-			for name, want := range env {
-				i := tf.prog.VarIndex(name)
-				if i < 0 || i == tf.sIdx {
-					continue
-				}
-				bound++
-				if got := slot[i]; math.Float64bits(real(got)) != math.Float64bits(want) || imag(got) != 0 {
-					t.Fatalf("%v #%d: slot %d (%s) = %v, dpi.Env has %v", topo, k, i, name, got, want)
-				}
-			}
-			if bound != len(slot)-1 {
-				t.Fatalf("%v #%d: dpi.Env has %d of the program's %d variables", topo, k, bound, len(slot)-1)
-			}
-			for _, bad := range []float64{0, -cin, math.NaN()} {
-				err := tf.fill(slot, hold, op, bad)
-				if err == nil || err.Error() != `hybrid: environment missing "c_cin"` {
-					t.Fatalf("%v #%d: cin %g: error %v, want the missing c_cin error", topo, k, bad, err)
-				}
+		}
+		if bound != len(slot)-1 {
+			t.Fatalf("#%d: dpi.Env has %d of the program's %d variables", k, bound, len(slot)-1)
+		}
+		for _, bad := range []float64{0, -cin, math.NaN()} {
+			err := tf.fill(slot, hold, op, bad)
+			if err == nil || err.Error() != `hybrid: environment missing "c_cin"` {
+				t.Fatalf("#%d: cin %g: error %v, want the missing c_cin error", k, bad, err)
 			}
 		}
 	}
@@ -186,42 +180,40 @@ func sameBits(a, b loopMet) bool {
 		math.Float64bits(a.pm) == math.Float64bits(b.pm)
 }
 
-// TestCrossoverRootFind: for real sizings of both topologies, the
-// root-found crossover has |T(fc)| within 1e-9 of 1, and it and the
-// phase margin agree with the interpolated first crossing of a
-// 400-points-per-decade sweep to 1e-4 relative and 0.01°. The DC gain
-// is the coarse pass's first sample, so it matches bit for bit.
+// TestCrossoverRootFind: for real sizings, the root-found crossover has
+// |T(fc)| within 1e-9 of 1, and it and the phase margin agree with the
+// interpolated first crossing of a 400-points-per-decade sweep to 1e-4
+// relative and 0.01°. The DC gain is the coarse pass's first sample, so
+// it matches bit for bit.
 func TestCrossoverRootFind(t *testing.T) {
 	st := relaxedStage(t)
-	for _, topo := range []opamp.Topology{opamp.Miller, opamp.Telescopic} {
-		se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
-		var worstF, worstPM float64
-		for k, sz := range perturbedSizings(t, topo, 20) {
-			m, err := se.Evaluate(context.Background(), sz)
-			if err != nil {
-				t.Fatalf("%v #%d: %v", topo, k, err)
-			}
-			if !(m.CrossoverHz > 0) {
-				t.Fatalf("%v #%d: no crossover", topo, k)
-			}
-			v, err := se.loopGain(m.CrossoverHz)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := math.Abs(cmplxAbs(v) - 1); d > 1e-9 {
-				t.Fatalf("%v #%d: |T(%g)| = 1%+.3g, want within 1e-9 of 1", topo, k, m.CrossoverHz, d)
-			}
-			ref := refSweep(t, se.tf, se.slot)
-			dF := math.Abs(m.CrossoverHz/ref.crossover - 1)
-			dPM := math.Abs(m.PhaseMargin - ref.pm)
-			worstF, worstPM = math.Max(worstF, dF), math.Max(worstPM, dPM)
-			if math.Float64bits(m.LoopGain0) != math.Float64bits(ref.gain0) || dF > 1e-4 || dPM > 0.01 {
-				t.Fatalf("%v #%d: root-found gain %g, crossover %g, PM %g; 400-ppd sweep %+v",
-					topo, k, m.LoopGain0, m.CrossoverHz, m.PhaseMargin, ref)
-			}
+	se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
+	var worstF, worstPM float64
+	for k, sz := range perturbedSizings(t, 20) {
+		m, err := se.Evaluate(context.Background(), sz)
+		if err != nil {
+			t.Fatalf("#%d: %v", k, err)
 		}
-		t.Logf("%v: worst crossover %.2g relative, worst PM %.2g°", topo, worstF, worstPM)
+		if !(m.CrossoverHz > 0) {
+			t.Fatalf("#%d: no crossover", k)
+		}
+		v, err := se.loopGain(m.CrossoverHz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(cmplxAbs(v) - 1); d > 1e-9 {
+			t.Fatalf("#%d: |T(%g)| = 1%+.3g, want within 1e-9 of 1", k, m.CrossoverHz, d)
+		}
+		ref := refSweep(t, se.tf, se.slot)
+		dF := math.Abs(m.CrossoverHz/ref.crossover - 1)
+		dPM := math.Abs(m.PhaseMargin - ref.pm)
+		worstF, worstPM = math.Max(worstF, dF), math.Max(worstPM, dPM)
+		if math.Float64bits(m.LoopGain0) != math.Float64bits(ref.gain0) || dF > 1e-4 || dPM > 0.01 {
+			t.Fatalf("#%d: root-found gain %g, crossover %g, PM %g; 400-ppd sweep %+v",
+				k, m.LoopGain0, m.CrossoverHz, m.PhaseMargin, ref)
+		}
 	}
+	t.Logf("worst crossover %.2g relative, worst PM %.2g°", worstF, worstPM)
 }
 
 // TestEarlyStopMatchesFullGrid: the streaming fold, which the coarse
@@ -265,15 +257,14 @@ func TestEarlyStopMatchesFullGrid(t *testing.T) {
 	}
 }
 
-// TestSharedLoopTFConcurrent: eight fresh evaluators, each scoring
-// sizings of both topologies, start together on an empty transfer
-// function table, so the first compile of each topology races with the
-// other goroutines' lookups. Every result must equal the serial one bit
-// for bit, and the table must end with one entry per topology. Run under
-// the race detector by ci.sh.
+// TestSharedLoopTFConcurrent: eight fresh evaluators, each scoring the
+// same sizings, start together on an empty transfer function table, so
+// the first compile races with the other goroutines' lookups. Every
+// result must equal the serial one bit for bit, and the table must end
+// with one entry. Run under the race detector by ci.sh.
 func TestSharedLoopTFConcurrent(t *testing.T) {
 	st := relaxedStage(t)
-	sizings := append(perturbedSizings(t, opamp.Miller, 2), perturbedSizings(t, opamp.Telescopic, 2)...)
+	sizings := perturbedSizings(t, 4)
 	evaluate := func(se *StageEvaluator, sz opamp.Amp) Metrics {
 		m, err := se.Evaluate(context.Background(), sz)
 		if err != nil {
@@ -300,7 +291,7 @@ func TestSharedLoopTFConcurrent(t *testing.T) {
 			defer wg.Done()
 			se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
 			for k := range sizings {
-				i := (k + w) % len(sizings) // half the workers start on each topology
+				i := (k + w) % len(sizings) // the workers start on different sizings
 				got[w][i] = evaluate(se, sizings[i])
 			}
 		}(w)
@@ -315,7 +306,7 @@ func TestSharedLoopTFConcurrent(t *testing.T) {
 	}
 	loopTFs.Lock()
 	defer loopTFs.Unlock()
-	if len(loopTFs.m) != 2 {
-		t.Fatalf("table holds %d transfer functions, want one per topology (2)", len(loopTFs.m))
+	if len(loopTFs.m) != 1 {
+		t.Fatalf("table holds %d transfer functions, want 1", len(loopTFs.m))
 	}
 }

@@ -38,9 +38,7 @@ const ElemCin = "cin"
 // output devices comfortably saturated.
 const VCM = 1.4
 
-// Stage couples a block spec with an amplifier sizing candidate. Any
-// opamp.Amp topology rides the same circuits: the builders only rely on
-// the shared port convention.
+// Stage couples a block spec with an amplifier sizing candidate.
 type Stage struct {
 	Spec    stagespec.MDACSpec
 	Sizing  opamp.Amp
@@ -185,9 +183,6 @@ func (st Stage) LoopCircuit(cin float64) (*netlist.Circuit, error) {
 func (st Stage) validate() error {
 	if st.Process == nil {
 		return fmt.Errorf("mdac: nil process")
-	}
-	if st.Sizing == nil {
-		return fmt.Errorf("mdac: nil amplifier sizing")
 	}
 	sp := st.Spec
 	if sp.CFeed <= 0 || sp.CSample <= 0 || sp.CLoad <= 0 {

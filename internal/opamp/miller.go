@@ -1,9 +1,9 @@
-// Package opamp generates transistor-level operational amplifiers for the
-// MDAC residue stages. The workhorse is a classic two-stage Miller OTA
-// (NMOS input pair, PMOS mirror load, PMOS common-source second stage,
-// all bias currents derived from one reference through NMOS mirrors) —
-// the topology class the paper's MDACs use, with enough open-loop gain for
-// a 13-bit front stage when properly sized.
+// Package opamp generates the transistor-level operational amplifier of
+// the MDAC residue stages: a classic two-stage Miller OTA (NMOS input
+// pair, PMOS mirror load, PMOS common-source second stage, all bias
+// currents derived from one reference through NMOS mirrors) — the one
+// amplifier class the paper's MDACs use, with enough open-loop gain for a
+// 13-bit front stage when properly sized.
 //
 // The package also provides the designer's analytic sizing equations: an
 // initial sizing derived from the block spec (gm from GBW·Cc, currents
@@ -16,12 +16,13 @@ import (
 	"fmt"
 	"math"
 
+	"pipesyn/internal/device"
 	"pipesyn/internal/netlist"
 	"pipesyn/internal/pdk"
 )
 
-// MillerSizing is the design-variable vector of the two-stage OTA.
-type MillerSizing struct {
+// Amp is the design-variable vector of the two-stage OTA.
+type Amp struct {
 	W1, L1 float64 // input differential pair (NMOS), per device
 	W3, L3 float64 // PMOS mirror load, per device
 	W5, L5 float64 // PMOS second-stage common source
@@ -34,23 +35,23 @@ type MillerSizing struct {
 
 // Vector flattens the sizing for the optimizer; FromVector inverts it.
 // All geometric quantities are optimized in log space by the caller.
-func (s MillerSizing) Vector() []float64 {
+func (s Amp) Vector() []float64 {
 	return []float64{s.W1, s.L1, s.W3, s.L3, s.W5, s.L5, s.KTail, s.K2, s.IRef, s.CC, s.RZ}
 }
 
 // FromVector rebuilds a sizing from an optimizer vector.
-func FromVector(v []float64) (MillerSizing, error) {
+func FromVector(v []float64) (Amp, error) {
 	if len(v) != 11 {
-		return MillerSizing{}, fmt.Errorf("opamp: sizing vector needs 11 entries, got %d", len(v))
+		return Amp{}, fmt.Errorf("opamp: sizing vector needs 11 entries, got %d", len(v))
 	}
-	return MillerSizing{
+	return Amp{
 		W1: v[0], L1: v[1], W3: v[2], L3: v[3], W5: v[4], L5: v[5],
 		KTail: v[6], K2: v[7], IRef: v[8], CC: v[9], RZ: v[10],
 	}, nil
 }
 
 // Clamp bounds every variable to its manufacturable range.
-func (s MillerSizing) Clamp(p *pdk.Process) MillerSizing {
+func (s Amp) Clamp(p *pdk.Process) Amp {
 	c := s
 	c.W1, c.L1 = p.ClampW(s.W1), p.ClampL(s.L1)
 	c.W3, c.L3 = p.ClampW(s.W3), p.ClampL(s.L3)
@@ -88,10 +89,11 @@ const (
 	refL = 1e-6
 )
 
-// Build appends the amplifier elements to the circuit. Internal nodes are
-// prefixed to allow several amps per netlist. The caller provides supply
-// and input-bias sources.
-func Build(c *netlist.Circuit, p *pdk.Process, s MillerSizing, prefix string) {
+// Build appends the amplifier elements to the circuit, on the ports
+// PortInP, PortInN, PortOut and PortVDD. Internal nodes and element names
+// are prefixed to allow several amps per netlist. The caller provides
+// supply and input-bias sources.
+func (s Amp) Build(c *netlist.Circuit, p *pdk.Process, prefix string) {
 	n := func(base string) string { return prefix + base }
 	mos := func(name, d, g, src, b, model string, w, l float64) *netlist.Element {
 		return &netlist.Element{
@@ -147,7 +149,7 @@ type BlockSpec struct {
 //	Rz   = 1/gm5
 //
 // with W/L from the square law at Vov ≈ 0.2 V.
-func InitialSizing(p *pdk.Process, spec BlockSpec) MillerSizing {
+func InitialSizing(p *pdk.Process, spec BlockSpec) Amp {
 	const vov = 0.2
 	cl := spec.CLoad + spec.CFeed
 	cc := 0.4 * cl
@@ -175,7 +177,7 @@ func InitialSizing(p *pdk.Process, spec BlockSpec) MillerSizing {
 	l5 := 0.35e-6
 	w5 := wl(gm5, i2, p.PMOS.KP) * l5
 
-	s := MillerSizing{
+	s := Amp{
 		W1: w1, L1: l1,
 		W3: w3, L3: l3,
 		W5: w5, L5: l5,
@@ -204,7 +206,7 @@ type Equations struct {
 }
 
 // Analyze computes the closed-form metrics for a sizing driving cl farads.
-func Analyze(p *pdk.Process, s MillerSizing, cl float64) Equations {
+func (s Amp) Analyze(p *pdk.Process, cl float64) Equations {
 	const vov = 0.2
 	itail := s.KTail * s.IRef
 	i2 := s.K2 * s.IRef
@@ -230,4 +232,11 @@ func Analyze(p *pdk.Process, s MillerSizing, cl float64) Equations {
 	e.SwingLo = vov         // M6 needs Vov to stay saturated
 	e.SwingHi = p.VDD - vov // M5 likewise
 	return e
+}
+
+// SwingWindow extracts the output range with every device saturated from
+// a DC operating point (mos keyed by prefixed element name): the NMOS
+// sink m6 sets the floor, the PMOS common-source m5 the ceiling.
+func (s Amp) SwingWindow(mos map[string]device.OP, prefix string, vdd float64) (lo, hi float64) {
+	return mos[prefix+"m6"].VOV, vdd - mos[prefix+"m5"].VOV
 }

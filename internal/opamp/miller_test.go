@@ -23,7 +23,7 @@ func testSpec() BlockSpec {
 
 // Build the amp in unity-gain feedback (out tied to inn through a large
 // resistor for DC) and verify it biases with every device saturated.
-func unityTestbench(t *testing.T, p *pdk.Process, s MillerSizing) *netlist.Circuit {
+func unityTestbench(t *testing.T, p *pdk.Process, s Amp) *netlist.Circuit {
 	t.Helper()
 	c := netlist.New("unity follower")
 	p.Attach(c)
@@ -31,7 +31,7 @@ func unityTestbench(t *testing.T, p *pdk.Process, s MillerSizing) *netlist.Circu
 		Nodes: []string{"vdd", "0"}, Src: &netlist.Source{DC: p.VDD}})
 	c.MustAdd(&netlist.Element{Name: "vin", Type: netlist.VSource,
 		Nodes: []string{"inp", "0"}, Src: &netlist.Source{DC: 1.4, ACMag: 1}})
-	Build(c, p, s, "a.")
+	s.Build(c, p, "a.")
 	c.MustAdd(&netlist.Element{Name: "rfb", Type: netlist.Resistor,
 		Nodes: []string{"out", "inn"}, Value: 1}) // hard unity feedback
 	c.MustAdd(&netlist.Element{Name: "cl", Type: netlist.Capacitor,
@@ -73,7 +73,7 @@ func TestInitialSizingMeetsEquationTargets(t *testing.T) {
 	p := pdk.TSMC025()
 	spec := testSpec()
 	s := InitialSizing(p, spec)
-	eq := Analyze(p, s, spec.CLoad+spec.CFeed)
+	eq := s.Analyze(p, spec.CLoad+spec.CFeed)
 	// The designer equations should land near their own targets.
 	if eq.GBW < 0.5*spec.GBW {
 		t.Fatalf("equation GBW %g below half the %g target", eq.GBW, spec.GBW)
@@ -139,7 +139,7 @@ func TestVectorRoundTrip(t *testing.T) {
 
 func TestClamp(t *testing.T) {
 	p := pdk.TSMC025()
-	s := MillerSizing{W1: 1, L1: 0, W3: -1, L3: 99, W5: 1e-6, L5: 1e-6,
+	s := Amp{W1: 1, L1: 0, W3: -1, L3: 99, W5: 1e-6, L5: 1e-6,
 		KTail: 1e6, K2: 0, IRef: 1, CC: 1, RZ: -5}
 	c := s.Clamp(p)
 	if c.W1 != p.WMax || c.L1 != p.LMin || c.W3 != p.WMin || c.L3 != p.LMax {
@@ -165,7 +165,7 @@ func TestSlewRateObservable(t *testing.T) {
 	src.Pulse.PW, src.Pulse.PER = 1, 2
 	c.MustAdd(&netlist.Element{Name: "vin", Type: netlist.VSource,
 		Nodes: []string{"inp", "0"}, Src: src})
-	Build(c, p, s, "a.")
+	s.Build(c, p, "a.")
 	c.MustAdd(&netlist.Element{Name: "rfb", Type: netlist.Resistor,
 		Nodes: []string{"out", "inn"}, Value: 1})
 	c.MustAdd(&netlist.Element{Name: "cl", Type: netlist.Capacitor,

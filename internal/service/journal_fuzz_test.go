@@ -14,7 +14,8 @@ import (
 // content addresses, requests that no longer validate — recovery must
 // not panic or fail, must leave every job queued or terminal with the
 // queue holding exactly the re-enqueued ones, and must compact the
-// journal into a file that replays to the same job table.
+// journal into a file that replays to the same job table, queue order
+// and retention ring.
 func FuzzJournalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, journal []byte) {
 		dir := t.TempDir()
@@ -28,9 +29,17 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
+// replayed is what a journal replay rebuilds: each job's state by ID,
+// the queue's job IDs in run order, and the retention ring's in
+// eviction order.
+type replayed struct {
+	States      map[string]State
+	Queue, Ring []string
+}
+
 // recoverTable replays the journal in dir into a fresh manager, checks
-// the recovered table, and returns each job's state by ID.
-func recoverTable(t *testing.T, dir string) map[string]State {
+// the recovered table, and returns it.
+func recoverTable(t *testing.T, dir string) replayed {
 	t.Helper()
 	jn, err := OpenJournal(dir)
 	if err != nil {
@@ -42,7 +51,7 @@ func recoverTable(t *testing.T, dir string) map[string]State {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	table := make(map[string]State, len(man.jobs))
+	table := replayed{States: make(map[string]State, len(man.jobs))}
 	queued := 0
 	for id, j := range man.jobs {
 		st := j.State()
@@ -51,10 +60,16 @@ func recoverTable(t *testing.T, dir string) map[string]State {
 		} else if !st.Terminal() {
 			t.Fatalf("job %s recovered in state %q", id, st)
 		}
-		table[id] = st
+		table.States[id] = st
 	}
 	if queued != stats.Recovered || queued != len(man.queue) {
 		t.Fatalf("%d queued jobs, %d recovered (%+v), %d in the queue", queued, stats.Recovered, stats, len(man.queue))
+	}
+	for len(man.queue) > 0 {
+		table.Queue = append(table.Queue, (<-man.queue).ID)
+	}
+	for _, j := range man.terminals {
+		table.Ring = append(table.Ring, j.ID)
 	}
 	return table
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,12 +125,39 @@ func TestRecoverRequeuesQueuedAndRunning(t *testing.T) {
 	jnB.Close()
 }
 
+// TestRecoverKeepsSubmitOrder: six queued submits come back in submit
+// order after each of three restarts. Every restart replays the journal
+// the previous one compacted, so the order survives only if compaction
+// writes the jobs in submit order.
+func TestRecoverKeepsSubmitOrder(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := NewManager(Config{Workers: 1, QueueCap: 6, Journal: jn})
+	var want []string
+	for seed := int64(1); seed <= 6; seed++ {
+		j, _, err := man.Submit(tinyReq(10, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, j.ID)
+	}
+	jn.Close()
+	for restart := 1; restart <= 3; restart++ {
+		if got := recoverTable(t, dir).Queue; !slices.Equal(got, want) {
+			t.Fatalf("restart %d: queue %v, want submit order %v", restart, got, want)
+		}
+	}
+}
+
 // TestRecoverRejectsPreBumpKey: a job journaled before the last key
 // version bump (synth.KeyVersion) carries a content address the current
 // evaluator no longer mints. Recovery must not re-run it under that
-// address — a key of the backward-Euler-cap window/300 evaluator must
-// never name a result of the trapezoidal window/200 one — so it is
-// finalized failed with a *RecoveryError and counted.
+// address — a version-4 result, whose gob form carries the sizing as an
+// interface, does not even decode under version 5 — so it is finalized
+// failed with a *RecoveryError and counted.
 func TestRecoverRejectsPreBumpKey(t *testing.T) {
 	dir := t.TempDir()
 	jn, err := OpenJournal(dir)
@@ -137,8 +165,8 @@ func TestRecoverRejectsPreBumpKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := tinyReq(10, 3)
-	// JobKey of tinyReq(10, 3) as minted under KeyVersion 3.
-	const preBump = "8d9e82df8912d031e818913a61fd205fac81f6ba5b13e684ef4d9b684a3f64fd"
+	// JobKey of tinyReq(10, 3) as minted under KeyVersion 4.
+	const preBump = "36d410f31cd4a483463941bb21a8db044e7751264db513c8260401465d5d970a"
 	opts, err := req.Options()
 	if err != nil {
 		t.Fatal(err)

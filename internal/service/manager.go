@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -408,6 +410,11 @@ func (m *Manager) Recover() (RecoveryStats, error) {
 		}
 	}
 
+	// Replay in submit order, whatever order the file holds, so the
+	// queue and the retention ring come back as they were submitted.
+	slices.SortFunc(order, func(a, b string) int {
+		return submitOrder(byID[a].submit.Created, a, byID[b].submit.Created, b)
+	})
 	type pending struct {
 		job *Job
 		key string
@@ -999,12 +1006,18 @@ func (m *Manager) evictLocked(now time.Time) {
 }
 
 // compactJournal rewrites the WAL as one submit record per live job
-// plus a final record for the retained terminals. Replay of the
-// compacted file reconstructs exactly the current job table.
+// plus a final record for the retained terminals, in submit order.
+// Replay of the compacted file reconstructs exactly the current job
+// table, its queue order and its retention ring.
 func (m *Manager) compactJournal() {
 	m.mu.Lock()
-	recs := make([]journalRecord, 0, 2*len(m.jobs))
+	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
+		jobs = append(jobs, j)
+	}
+	slices.SortFunc(jobs, func(a, b *Job) int { return submitOrder(a.Created, a.ID, b.Created, b.ID) })
+	recs := make([]journalRecord, 0, 2*len(jobs))
+	for _, j := range jobs {
 		j.mu.Lock()
 		req := j.Req
 		recs = append(recs, journalRecord{
@@ -1023,6 +1036,15 @@ func (m *Manager) compactJournal() {
 	}
 	m.mu.Unlock()
 	_ = m.cfg.Journal.compact(recs)
+}
+
+// submitOrder orders two jobs as they were submitted: by creation time,
+// then by ID.
+func submitOrder(aCreated time.Time, aID string, bCreated time.Time, bID string) int {
+	if c := aCreated.Compare(bCreated); c != 0 {
+		return c
+	}
+	return strings.Compare(aID, bID)
 }
 
 // Drain shuts the manager down: new submissions are rejected, queued

@@ -106,11 +106,11 @@ func settleSizings(t *testing.T) []settleCase {
 			for j := range v {
 				v[j] *= math.Exp(0.4 * rng.NormFloat64())
 			}
-			sz, err := base.WithVector(v)
+			sz, err := opamp.FromVector(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := mdac.Stage{Spec: sp, Sizing: sz.Bound(proc), Process: proc}
+			st := mdac.Stage{Spec: sp, Sizing: sz.Clamp(proc), Process: proc}
 			hold, err := st.HoldCircuit()
 			if err != nil {
 				t.Fatal(err)

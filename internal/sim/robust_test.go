@@ -45,7 +45,7 @@ V1 in 0 PWL(0 0 1n 5)
 R1 in out 1k
 C1 out 0 1n
 `)
-	_, err := Tran(c, TranOpts{TStop: 100e-9, TStep: 10e-9, UseICs: true, MaxNewton: 1})
+	_, err := Tran(c, TranOpts{TStop: 100e-9, TStep: 10e-9, useICs: true, MaxNewton: 1})
 	if err == nil {
 		t.Fatal("transient with a 1-iteration Newton budget converged")
 	}
@@ -72,7 +72,7 @@ func TestTranGminConfigurable(t *testing.T) {
 V1 in 0 PWL(0 0 1n 1)
 C1 in out 1n
 `)
-	res, err := Tran(c, TranOpts{TStop: 5e-6, TStep: 10e-9, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: 5e-6, TStep: 10e-9, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ R1 in out 1k
 C1 out 0 1n
 `)
 	const tStop, tStep = 1e-6, 0.35e-6 // round(1/0.35)=3 steps → nominal last t = 1.05 µs
-	res, err := Tran(c, TranOpts{TStop: tStop, TStep: tStep, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: tStop, TStep: tStep, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ V1 in 0 DC 5
 R1 in out 1k
 C1 out 0 1n
 `)
-	res2, err := Tran(c2, TranOpts{TStop: 1e-6, TStep: 0.25e-6, UseICs: true})
+	res2, err := Tran(c2, TranOpts{TStop: 1e-6, TStep: 0.25e-6, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ C1 out 0 1n
 		}
 	}
 	// End to end: the step must propagate a finite RC response.
-	res, err := Tran(c, TranOpts{TStop: 4e-6, TStep: 10e-9, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: 4e-6, TStep: 10e-9, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,21 +19,25 @@ const (
 
 // TranOpts configures a transient run.
 type TranOpts struct {
-	TStop  float64
-	TStep  float64
-	Method Integrator
+	TStop float64
+	TStep float64
 	// Two-phase non-overlapping clock for switched-capacitor circuits:
 	// phase 1 occupies [0, T/2−Tnov), phase 2 occupies [T/2, T−Tnov).
 	// ClockPeriod 0 disables the clock (all clocked switches open).
 	ClockPeriod float64
 	NonOverlap  float64
 	MaxNewton   int
-	// UseICs starts from the given node voltages instead of a DC solve.
-	UseICs bool
-	ICs    map[string]float64
 	// Probes names the nodes to record; empty records every node. A name
 	// that is neither a circuit node nor ground is an error.
 	Probes []string
+
+	// Test seams, set only by this package's tests: method is the
+	// integrator after the backward-Euler start-up steps (Trapezoidal
+	// when zero), and useICs starts from the node voltages ics instead of
+	// a DC solve.
+	method Integrator
+	useICs bool
+	ics    map[string]float64
 }
 
 // TranResult holds sampled waveforms.
@@ -535,8 +539,8 @@ func tranCompiled(cc *compiled, opts TranOpts) (*TranResult, error) {
 
 	// Initial state: DC operating point with the t=0 clock phase, or ICs.
 	x := make([]float64, l.Size)
-	if opts.UseICs {
-		for node, v := range opts.ICs {
+	if opts.useICs {
+		for node, v := range opts.ics {
 			if i := l.idx(node); i >= 0 {
 				x[i] = v
 			}
@@ -621,7 +625,7 @@ func tranFromState(cc *compiled, x0 []float64, opts TranOpts) (*TranResult, erro
 			damp = dampSteps
 		}
 		prevPhase = phase
-		method := opts.Method
+		method := opts.method
 		if damp > 0 {
 			method = BackwardEuler
 			damp--

@@ -23,7 +23,7 @@ V1 in 0 PWL(0 0 1n 5)
 R1 in out 1k
 C1 out 0 1n
 `)
-	res, err := Tran(c, TranOpts{TStop: 5e-6, TStep: 10e-9, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: 5e-6, TStep: 10e-9, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ C1 top 0 1n
 	c := mustParse(t, deck)
 	step := 100e-9 // τ/10
 	ics := map[string]float64{"top": 1.0}
-	trap, err := Tran(c, TranOpts{TStop: 2e-6, TStep: step, Method: Trapezoidal, UseICs: true, ICs: ics})
+	trap, err := Tran(c, TranOpts{TStop: 2e-6, TStep: step, method: Trapezoidal, useICs: true, ics: ics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := Tran(c, TranOpts{TStop: 2e-6, TStep: step, Method: BackwardEuler, UseICs: true, ICs: ics})
+	be, err := Tran(c, TranOpts{TStop: 2e-6, TStep: step, method: BackwardEuler, useICs: true, ics: ics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ V1 in 0 SIN(1 0.5 1MEG)
 R1 in out 1
 R2 out 0 1MEG
 `)
-	res, err := Tran(c, TranOpts{TStop: 2e-6, TStep: 5e-9, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: 2e-6, TStep: 5e-9, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTranPulse(t *testing.T) {
 V1 in 0 PULSE(0 1 100n 10n 10n 200n 500n)
 R1 in 0 1k
 `)
-	res, err := Tran(c, TranOpts{TStop: 1e-6, TStep: 2e-9, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: 1e-6, TStep: 2e-9, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ C1 top 0 1p
 	res, err := Tran(c, TranOpts{
 		TStop: 200e-9, TStep: 0.5e-9,
 		ClockPeriod: 100e-9, NonOverlap: 5e-9,
-		UseICs: true,
+		useICs: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ C1 top 0 1n
 `)
 	res, err := Tran(c, TranOpts{
 		TStop: 3e-6, TStep: 10e-9,
-		UseICs: true, ICs: map[string]float64{"top": 2.0},
+		useICs: true, ics: map[string]float64{"top": 2.0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestTranPWLEdges(t *testing.T) {
 V1 in 0 PWL(10n 1 20n 2)
 R1 in 0 1k
 `)
-	res, err := Tran(c, TranOpts{TStop: 40e-9, TStep: 1e-9, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: 40e-9, TStep: 1e-9, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ R1 in 0 1k
 `
 	c := mustParse(t, src)
 	c.Elements[0].Src.Pulse.PER = 0
-	res, err := Tran(c, TranOpts{TStop: 40e-9, TStep: 0.5e-9, UseICs: true})
+	res, err := Tran(c, TranOpts{TStop: 40e-9, TStep: 0.5e-9, useICs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,10 @@ func (k *Kernel) OP(opts DCOpts) (*DCResult, error) {
 // SwitchPhase equal to the clock phase at t=0 (as sim.Tran requests),
 // the result is bit-identical to sim.Tran of the bound circuit: it is
 // the same problem with the same options on the same kernel.
-// opts.UseICs must be false.
 func (k *Kernel) TranFrom(op *DCResult, opts TranOpts) (*TranResult, error) {
 	cc := k.cc
 	if op == nil || op.layout != cc.layout || op.binding != cc.binding {
 		return nil, fmt.Errorf("sim: TranFrom needs an operating point of the kernel's current binding")
-	}
-	if opts.UseICs {
-		return nil, fmt.Errorf("sim: TranFrom starts from an operating point; UseICs conflicts")
 	}
 	if err := opts.normalize(); err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
 // Content-addressed result cache for the sizing engine. A synthesis is a
-// pure function of (block spec, process, optimizer options, topology), so
-// its result can be keyed by a hash of those inputs and replayed for
+// pure function of (block spec, process, optimizer options), so its
+// result can be keyed by a hash of those inputs and replayed for
 // free: regenerating figures, re-running a sweep, or retargeting a study
 // all hit the same design points again. The warm-start seed is
 // deliberately excluded from the key — warm and cold runs of the same
@@ -21,16 +21,9 @@ import (
 	"path/filepath"
 	"sync"
 
-	"pipesyn/internal/opamp"
 	"pipesyn/internal/pdk"
 	"pipesyn/internal/stagespec"
 )
-
-func init() {
-	// Result.Sizing is an interface; gob needs the concrete cells.
-	gob.Register(opamp.MillerSizing{})
-	gob.Register(opamp.TelescopicSizing{})
-}
 
 // Canonical returns a copy of o with the execution-only knobs cleared —
 // WarmStart (see package comment), Pool, Cache, EvalHook, and Progress
@@ -61,7 +54,11 @@ func (o Options) Canonical() Options {
 // transient runs on window/200 steps from 0.25 ns before the residue
 // step, a failed transient step halves without a full-Newton rerun, and
 // the loop crossover is root-found inside the coarse sweep's bracket.
-const KeyVersion = 4
+// Version 5: the two-stage Miller OTA is the one amplifier cell, so the
+// keys drop the topology and Result's gob form carries the sizing as a
+// struct (a version-4 entry, whose sizing is an interface, does not
+// decode).
+const KeyVersion = 5
 
 // CacheKey computes the content address of a synthesis request: a
 // SHA-256 over KeyVersion, the block spec, the process name, and the
@@ -82,12 +79,11 @@ func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 		MaxEvals, PatternIter        int
 		Restarts                     int
 		InitTemp, CoolRate, PenaltyW float64
-		Mode, Topology               int
+		Mode                         int
 		Surrogate                    bool
 	}
 	kf := keyFields{KeyVersion, spec, procName, opts.Seed, opts.MaxEvals, opts.PatternIter,
-		opts.Restarts, InitTemp, CoolRate, PenaltyW,
-		int(opts.Mode), int(opts.Topology), opts.Surrogate}
+		opts.Restarts, InitTemp, CoolRate, PenaltyW, int(opts.Mode), opts.Surrogate}
 	blob, err := json.Marshal(kf)
 	if err != nil {
 		// Only value fields above; Marshal cannot fail. Keep the

@@ -29,7 +29,7 @@ func TestCacheKeyStability(t *testing.T) {
 	same := opts
 	same.Pool = sched.NewPool(8)
 	same.Cache, _ = NewCache(1, "")
-	same.WarmStart = opamp.MillerSizing{W1: 1e-6}
+	same.WarmStart = &opamp.Amp{W1: 1e-6}
 	if CacheKey(spec, proc, same) != key {
 		t.Fatal("Pool/Cache/WarmStart leaked into the key")
 	}
@@ -46,7 +46,6 @@ func TestCacheKeyStability(t *testing.T) {
 		"seed":      func(o *Options) { o.Seed++ },
 		"budget":    func(o *Options) { o.MaxEvals++ },
 		"mode":      func(o *Options) { o.Mode = hybrid.EquationOnly },
-		"topology":  func(o *Options) { o.Topology = opamp.Telescopic },
 		"restarts":  func(o *Options) { o.Restarts = 3 },
 		"surrogate": func(o *Options) { o.Surrogate = true },
 	} {
@@ -73,7 +72,7 @@ func TestCacheKeyStability(t *testing.T) {
 func TestCacheKeyGolden(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	opts := Options{Seed: 7, MaxEvals: 16, PatternIter: 8, Mode: hybrid.Hybrid}
-	const want = "4305ce56076b9d9945d4638f1df8f93c125804cdf803e0cd42c882f2ecca77a4"
+	const want = "016dcbbec5f1189314d746904606dbabb41abb2a57148d259cd4dde7c0581a75"
 	if got := CacheKey(spec, proc, opts); got != want {
 		t.Fatalf("CacheKey drifted: got %s, want %s (key version %d)", got, want, KeyVersion)
 	}
@@ -87,7 +86,7 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	res := &Result{Cost: 1, Evals: 10, Sizing: opamp.MillerSizing{W1: 2e-6}}
+	res := &Result{Cost: 1, Evals: 10, Sizing: opamp.Amp{W1: 2e-6}}
 	c.Put("a", res)
 	got, ok := c.Get("a")
 	if !ok || got.Cost != 1 || got.Evals != 10 {
@@ -124,7 +123,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := &Result{
-		Sizing:   opamp.MillerSizing{W1: 3e-6, IRef: 20e-6, CC: 1e-13},
+		Sizing:   opamp.Amp{W1: 3e-6, IRef: 20e-6, CC: 1e-13},
 		Feasible: true, Evals: 123, Cost: 0.5, EvalsToFeasible: 9,
 		Report: hybrid.SpecReport{Failures: []string{"x"}},
 	}
@@ -143,8 +142,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 	if got.Cost != want.Cost || got.Evals != want.Evals || !got.Feasible {
 		t.Fatalf("got %+v", got)
 	}
-	sz, isMiller := got.Sizing.(opamp.MillerSizing)
-	if !isMiller || sz.W1 != 3e-6 || sz.IRef != 20e-6 {
+	if sz := got.Sizing; sz.W1 != 3e-6 || sz.IRef != 20e-6 {
 		t.Fatalf("sizing did not round-trip: %#v", got.Sizing)
 	}
 	if st := c2.Stats(); st.DiskHits != 1 {
@@ -198,7 +196,7 @@ func TestSynthesizeCacheHitSkipsEvaluator(t *testing.T) {
 	// A warm-started request for the same spec is the same content
 	// address — the retarget flow turns into a cache hit too.
 	retarget := opts
-	retarget.WarmStart = cold.Sizing
+	retarget.WarmStart = &cold.Sizing
 	hit, err := Synthesize(context.Background(), spec, proc, retarget)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +268,7 @@ func TestCacheDiskConcurrentSameKeyPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &Result{
-		Sizing:   opamp.MillerSizing{W1: 3e-6, IRef: 20e-6, CC: 1e-13},
+		Sizing:   opamp.Amp{W1: 3e-6, IRef: 20e-6, CC: 1e-13},
 		Feasible: true, Evals: 7, Cost: 0.25,
 	}
 	writer.Put("cafe", res)

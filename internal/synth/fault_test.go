@@ -8,59 +8,9 @@ import (
 	"time"
 
 	"pipesyn/internal/hybrid"
-	"pipesyn/internal/opamp"
 	"pipesyn/internal/sched"
 	"pipesyn/internal/testutil"
 )
-
-// TestPatternSearchPreservesTelescopic is the regression test for the
-// polish-stage topology bug: patternSearch used to rebuild candidates
-// with opamp.FromVector, which only understands the Miller cell. A
-// telescopic incumbent's 9-entry vector was rejected on every move, so
-// the polish silently did nothing for that topology. Rebuilding through
-// the incumbent's own WithVector must both keep the cell class and
-// actually improve the seed.
-func TestPatternSearchPreservesTelescopic(t *testing.T) {
-	spec, proc := lateStageSpec(t)
-	seed, err := opamp.Initial(opamp.Telescopic, proc, opamp.BlockSpec{
-		GBW: spec.GBWMin, SR: spec.SRMin, CLoad: spec.CLoad,
-		CFeed: spec.CFeed, Gain: spec.GainMin, Swing: spec.SwingMin,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := newEvaluator(spec, proc, hybrid.EquationOnly, nil, nil)
-	start := ev.score(context.Background(), seed)
-	if start.err != nil {
-		t.Fatalf("telescopic seed failed to evaluate: %v", start.err)
-	}
-	ff := -1
-	got := patternSearch(context.Background(), ev, start, 120, proc, &ff)
-	if got.sizing.Topology() != opamp.Telescopic {
-		t.Fatalf("polish changed topology to %v", got.sizing.Topology())
-	}
-	if !(got.cost < start.cost) {
-		t.Fatalf("polish left a telescopic seed untouched: cost %g → %g (coordinate moves were all rejected)",
-			start.cost, got.cost)
-	}
-}
-
-// TestSynthesizeTelescopicStaysTelescopic runs the full pipeline on a
-// telescopic request: whatever the anneal and polish do, the returned
-// sizing must still be the requested cell class.
-func TestSynthesizeTelescopicStaysTelescopic(t *testing.T) {
-	spec, proc := lateStageSpec(t)
-	res, err := Synthesize(context.Background(), spec, proc, Options{
-		Seed: 7, MaxEvals: 120, PatternIter: 60,
-		Mode: hybrid.EquationOnly, Topology: opamp.Telescopic,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Sizing.Topology(); got != opamp.Telescopic {
-		t.Fatalf("synthesized sizing has topology %v, want Telescopic", got)
-	}
-}
 
 // stallHook blocks every evaluation until the context is cancelled —
 // the worst-case evaluator for cancellation latency.

@@ -52,20 +52,16 @@ func newSurrogate(dims int) *surrogate {
 
 // observe folds one completed evaluation into the history. Failed or
 // unbounded-cost candidates carry no gradient information and are
-// skipped, as are vectors of unexpected shape.
+// skipped.
 func (s *surrogate) observe(sc scored) {
-	if s == nil || sc.err != nil || sc.sizing == nil {
+	if s == nil || sc.err != nil {
 		return
 	}
 	if math.IsInf(sc.cost, 0) || math.IsNaN(sc.cost) {
 		return
 	}
-	v := sc.sizing.Vector()
-	if len(v) != s.dims {
-		return
-	}
 	x := make([]float64, s.dims)
-	for i, val := range v {
+	for i, val := range sc.sizing.Vector() {
 		if val <= 0 {
 			return
 		}
@@ -81,18 +77,15 @@ func (s *surrogate) observe(sc scored) {
 	s.next = (s.next + 1) % surrogateWindow
 }
 
-// propose fits the model and returns the trust-clamped minimizer built
-// on the incumbent's cell class, or ok=false when there is not enough
-// history, no coordinate has a convex fit that moves, or the rebuilt
-// sizing is invalid.
+// propose fits the model and returns the trust-clamped minimizer around
+// the incumbent, or ok=false when there is not enough history, no
+// coordinate has a convex fit that moves, or the rebuilt sizing is
+// invalid.
 func (s *surrogate) propose(incumbent opamp.Amp, proc *pdk.Process) (opamp.Amp, bool) {
 	if s == nil || len(s.ys) < surrogateMinFit {
-		return nil, false
+		return opamp.Amp{}, false
 	}
 	v := incumbent.Vector()
-	if len(v) != s.dims {
-		return nil, false
-	}
 	moved := false
 	out := make([]float64, s.dims)
 	for d := 0; d < s.dims; d++ {
@@ -116,13 +109,13 @@ func (s *surrogate) propose(incumbent opamp.Amp, proc *pdk.Process) (opamp.Amp, 
 		moved = true
 	}
 	if !moved {
-		return nil, false
+		return opamp.Amp{}, false
 	}
-	cand, err := incumbent.WithVector(out)
+	cand, err := opamp.FromVector(out)
 	if err != nil {
-		return nil, false
+		return opamp.Amp{}, false
 	}
-	return cand.Bound(proc), true
+	return cand.Clamp(proc), true
 }
 
 // fitDim least-squares fits y ≈ a·x² + b·x + c over the history's

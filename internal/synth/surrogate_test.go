@@ -55,13 +55,10 @@ func TestSurrogateFitRecoversQuadratic(t *testing.T) {
 // bounded at its window.
 func TestSurrogateObserveFilters(t *testing.T) {
 	spec, proc := lateStageSpec(t)
-	seed, err := opamp.Initial(opamp.Miller, proc, opamp.BlockSpec{
+	seed := opamp.InitialSizing(proc, opamp.BlockSpec{
 		GBW: spec.GBWMin, SR: spec.SRMin, CLoad: spec.CLoad,
 		CFeed: spec.CFeed, Gain: spec.GainMin, Swing: spec.SwingMin,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := newSurrogate(len(seed.Vector()))
 	s.observe(scored{sizing: seed, cost: math.Inf(1)})
 	s.observe(scored{sizing: seed, cost: 1, err: context.Canceled})

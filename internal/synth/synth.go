@@ -41,9 +41,8 @@ type Options struct {
 	Seed        int64
 	MaxEvals    int // annealing evaluation budget (default 400)
 	Mode        hybrid.Mode
-	Topology    opamp.Topology // amplifier cell class (default Miller)
-	WarmStart   opamp.Amp      // retargeting seed; nil = equation start
-	PatternIter int            // pattern-search polish evaluations (default 120)
+	WarmStart   *opamp.Amp // retargeting seed; nil = equation start
+	PatternIter int        // pattern-search polish evaluations (default 120)
 	// Surrogate interleaves deterministic quadratic-model proposals with
 	// the annealer's random moves: a per-coordinate quadratic fit over
 	// the log-space sizings already evaluated proposes its trust-clamped
@@ -259,13 +258,10 @@ func betterResult(a, b *Result) bool {
 func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Process, opts Options) (*Result, int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	eqSeed, err := opamp.Initial(opts.Topology, proc, opamp.BlockSpec{
+	eqSeed := opamp.InitialSizing(proc, opamp.BlockSpec{
 		GBW: spec.GBWMin, SR: spec.SRMin, CLoad: spec.CLoad,
 		CFeed: spec.CFeed, Gain: spec.GainMin, Swing: spec.SwingMin,
 	})
-	if err != nil {
-		return nil, 0, err
-	}
 	ev := newEvaluator(spec, proc, opts.Mode, opts.EvalHook, opts.Progress)
 	best := ev.score(ctx, eqSeed)
 	if opts.WarmStart != nil {
@@ -273,7 +269,7 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 		// start carried over from a *tighter* spec is over-designed for a
 		// relaxed one, and the short retarget schedule would never shed
 		// the excess power; the equation seed covers that case.
-		warm := ev.score(ctx, opts.WarmStart)
+		warm := ev.score(ctx, *opts.WarmStart)
 		if warm.err == nil && (best.err != nil || warm.cost < best.cost) {
 			best = warm
 		}
@@ -446,21 +442,16 @@ func perturb(rng *rand.Rand, s opamp.Amp, temp float64, proc *pdk.Process) opamp
 		factor := math.Exp(rng.NormFloat64() * scale)
 		v[i] *= factor
 	}
-	out, err := s.WithVector(v)
+	out, err := opamp.FromVector(v)
 	if err != nil {
 		return s
 	}
-	return out.Bound(proc)
+	return out.Clamp(proc)
 }
 
 // patternSearch polishes with coordinate moves of shrinking step. A
 // cancelled context stops the polish; the caller re-checks ctx and
 // discards the partial result.
-//
-// Candidates are rebuilt with WithVector on the incumbent sizing (like
-// perturb) so the polish preserves the amplifier's cell class: the old
-// opamp.FromVector path always produced a MillerSizing and silently
-// swapped a Telescopic amplifier's topology mid-search.
 func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, proc *pdk.Process, firstFeasible *int) scored {
 	step := 0.25
 	dims := len(best.sizing.Vector())
@@ -473,11 +464,11 @@ func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, 
 				}
 				v := best.sizing.Vector()
 				v[i] *= dir
-				cand, err := best.sizing.WithVector(v)
+				cand, err := opamp.FromVector(v)
 				if err != nil {
 					continue
 				}
-				sc := ev.score(ctx, cand.Bound(proc))
+				sc := ev.score(ctx, cand.Clamp(proc))
 				spent++
 				if sc.err == nil {
 					if *firstFeasible < 0 && sc.feasible() {

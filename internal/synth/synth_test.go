@@ -85,7 +85,7 @@ func TestWarmStartUsesFewerEvals(t *testing.T) {
 	spec2.GBWMin *= 1.2
 	warm, err := Synthesize(context.Background(), spec2, proc, Options{
 		Seed: 6, MaxEvals: 150, PatternIter: 60, Mode: hybrid.Hybrid,
-		WarmStart: cold.Sizing,
+		WarmStart: &cold.Sizing,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,18 +201,17 @@ func TestAllRestartsFailedSurfacesFirstError(t *testing.T) {
 func TestPerturbStaysInBounds(t *testing.T) {
 	proc := pdk.TSMC025()
 	rng := rand.New(rand.NewSource(9))
-	var s opamp.Amp = opamp.MillerSizing{
+	s := opamp.Amp{
 		W1: 1e-6, L1: 0.5e-6, W3: 1e-6, L3: 0.5e-6, W5: 5e-6, L5: 0.35e-6,
 		KTail: 4, K2: 8, IRef: 20e-6, CC: 0.3e-12, RZ: 500,
 	}
 	for i := 0; i < 500; i++ {
 		s = perturb(rng, s, 1.0, proc)
-		ms := s.(opamp.MillerSizing)
-		if ms.W1 < proc.WMin || ms.W1 > proc.WMax || ms.L1 < proc.LMin || ms.L1 > proc.LMax {
-			t.Fatalf("geometry escaped bounds: %+v", ms)
+		if s.W1 < proc.WMin || s.W1 > proc.WMax || s.L1 < proc.LMin || s.L1 > proc.LMax {
+			t.Fatalf("geometry escaped bounds: %+v", s)
 		}
-		if ms.IRef <= 0 || ms.CC <= 0 || ms.RZ <= 0 {
-			t.Fatalf("non-positive electricals: %+v", ms)
+		if s.IRef <= 0 || s.CC <= 0 || s.RZ <= 0 {
+			t.Fatalf("non-positive electricals: %+v", s)
 		}
 	}
 }
@@ -239,7 +238,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.MaxEvals != 400 || o.PatternIter != 120 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
-	warm := Options{WarmStart: opamp.MillerSizing{}}
+	warm := Options{WarmStart: &opamp.Amp{}}
 	warm.defaults()
 	if warm.MaxEvals >= 400 {
 		t.Fatalf("warm-start defaults must shrink the schedule: %+v", warm)
@@ -253,7 +252,7 @@ func TestOptionsDefaults(t *testing.T) {
 // least one evaluation, and the full pipeline must survive a MaxEvals=4
 // warm-started run.
 func TestWarmStartTinyBudgetClamped(t *testing.T) {
-	o := Options{MaxEvals: 4, WarmStart: opamp.MillerSizing{}}
+	o := Options{MaxEvals: 4, WarmStart: &opamp.Amp{}}
 	o.defaults()
 	if o.MaxEvals < 1 {
 		t.Fatalf("warm-start shrink zeroed the annealing budget: MaxEvals = %d", o.MaxEvals)
@@ -268,45 +267,13 @@ func TestWarmStartTinyBudgetClamped(t *testing.T) {
 	}
 	warm, err := Synthesize(context.Background(), spec, proc, Options{
 		Seed: 6, MaxEvals: 4, PatternIter: 8, Mode: hybrid.EquationOnly,
-		WarmStart: cold.Sizing,
+		WarmStart: &cold.Sizing,
 	})
 	if err != nil {
 		t.Fatalf("MaxEvals=4 warm-started run failed: %v", err)
 	}
 	if warm.Evals == 0 {
 		t.Fatal("tiny warm-started run recorded no evaluations")
-	}
-}
-
-func TestSynthesizeTelescopicTopology(t *testing.T) {
-	// The sizing engine is topology-generic: a relaxed late stage
-	// synthesizes with the telescopic cascode through the full hybrid
-	// flow (DC bias, Mason loop TF, transient settling).
-	adc := stagespec.ADCSpec{Bits: 10, SampleRate: 40e6, VRef: 1}
-	specs, err := stagespec.Translate(adc, enum.Config{3, 2, 2, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := specs[3] // fourth stage: low gain requirement suits the telescopic
-	proc := pdk.TSMC025()
-	res, err := Synthesize(context.Background(), spec, proc, Options{
-		Seed: 13, MaxEvals: 120, PatternIter: 60,
-		Mode: hybrid.Hybrid, Topology: opamp.Telescopic,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sizing.Topology() != opamp.Telescopic {
-		t.Fatalf("result topology = %s", res.Sizing.Topology())
-	}
-	if res.Metrics.Power <= 0 {
-		t.Fatalf("power = %g", res.Metrics.Power)
-	}
-	if res.Metrics.AmpGain < 50 {
-		t.Fatalf("telescopic gain %g implausibly low", res.Metrics.AmpGain)
-	}
-	if !res.Metrics.Settled {
-		t.Fatalf("telescopic stage did not settle: %+v", res.Report.Failures)
 	}
 }
 
